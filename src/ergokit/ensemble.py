@@ -17,7 +17,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .battery import BatterySpec, QuantumState, energy
 from .errors import CapExceededError, NotDiagonalError, ValidationError
@@ -37,28 +36,46 @@ def composition_cap(cap: int | None = None) -> int:
     if cap is not None:
         return int(cap)
     env = os.environ.get(COMPOSITION_CAP_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_COMPOSITION_CAP
+    if env is None:
+        return DEFAULT_COMPOSITION_CAP
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValidationError(
+            f"{COMPOSITION_CAP_ENV} must be an integer >= 1, got {env!r}")
+    return value
 
 
 def composition_count(n: int, d: int) -> int:
     return math.comb(n + d - 1, d - 1)
 
 
-def _iter_compositions(n: int, d: int):
-    # lexicographic in (k_1, ..., k_d)
-    if d == 1:
-        yield (n,)
-        return
-    for k in range(n + 1):
-        for rest in _iter_compositions(n - k, d - 1):
-            yield (k,) + rest
+def _check_cap(required: int, cap: int, what: str, note: str = "") -> None:
+    if required > cap:
+        raise CapExceededError(f"{required} {what} {cap}{note}",
+                               required=required, cap=cap)
 
 
 @functools.lru_cache(maxsize=128)
 def _composition_matrix(n: int, d: int) -> np.ndarray:
-    K = np.array(list(_iter_compositions(n, d)), dtype=np.int64)
+    """All compositions of n into d parts, one row each, lexicographic in
+    (k_1, ..., k_d)."""
+    # blocks[m]: compositions of m into j parts. Those into j parts are
+    # k_1 = 0..m, each followed by the (j-1)-part compositions of m - k_1;
+    # m descends so that blocks[m - k_1] still holds j - 1 parts.
+    blocks = [np.array([[m]], dtype=np.int64) for m in range(n + 1)]
+    for j in range(2, d + 1):
+        # the last pass needs only m = n
+        for m in range(n, -1, -1) if j < d else (n,):
+            tails = blocks[m::-1]
+            sizes = [len(t) for t in tails]
+            K = np.empty((sum(sizes), j), dtype=np.int64)
+            K[:, 0] = np.repeat(np.arange(m + 1, dtype=np.int64), sizes)
+            np.concatenate(tails, out=K[:, 1:])
+            blocks[m] = K
+    K = blocks[n]
     K.flags.writeable = False
     return K
 
@@ -102,13 +119,9 @@ def build_level_table(spectrum, battery: BatterySpec, n: int,
         raise ValidationError(f"n must be >= 1, got {n}")
     d = battery.dim
     r = _validated_spectrum(spectrum, d)
-    limit = composition_cap(cap)
-    count = composition_count(n, d)
-    if count > limit:
-        raise CapExceededError(
-            f"{count} compositions exceed the cap {limit} "
-            f"(override with {COMPOSITION_CAP_ENV} or the cap argument)",
-            required=count, cap=limit)
+    _check_cap(composition_count(n, d), composition_cap(cap),
+               "compositions exceed the cap",
+               f" (override with {COMPOSITION_CAP_ENV} or the cap argument)")
 
     K = _composition_matrix(n, d)
     zero = r == 0.0
@@ -117,7 +130,8 @@ def build_level_table(spectrum, battery: BatterySpec, n: int,
     if np.any(zero):
         log_prob[(K[:, zero] > 0).any(axis=1)] = -np.inf
     total_energy = K @ battery.energies
-    log_mult = gammaln(n + 1) - gammaln(K + 1).sum(axis=1)
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    log_mult = log_fact[n] - log_fact[K].sum(axis=1)
     for arr in (log_prob, total_energy, log_mult):
         arr.flags.writeable = False
     return WeightedLevelTable(n=n, dim=d, log_prob=log_prob,
@@ -175,20 +189,10 @@ def brute_force_oracle(spectrum, battery: BatterySpec, n: int,
     composition table and of the merge above."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    d = battery.dim
-    r = _validated_spectrum(spectrum, d)
-    levels = d ** n
-    if levels > cap:
-        raise CapExceededError(
-            f"{levels} levels exceed the brute-force cap {cap}",
-            required=levels, cap=cap)
-    probs = np.array([1.0])
-    energies = np.array([0.0])
-    for _ in range(n):
-        probs = np.multiply.outer(probs, r).ravel()
-        energies = np.add.outer(energies, battery.energies).ravel()
-    probs = np.sort(probs)[::-1]
-    energies = np.sort(energies)
+    r = _validated_spectrum(spectrum, battery.dim)
+    _check_cap(battery.dim ** n, cap, "levels exceed the brute-force cap")
+    probs = np.sort(product_populations(r, n, cap=cap))[::-1]
+    energies = np.sort(product_energies(battery, n, cap=cap))
     return float(np.dot(probs, energies)) / n
 
 
@@ -310,10 +314,7 @@ def product_energies(battery: BatterySpec, n: int,
     """Diagonal of the sum Hamiltonian on the n-copy product basis."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    levels = battery.dim ** n
-    if levels > cap:
-        raise CapExceededError(
-            f"{levels} levels exceed the cap {cap}", required=levels, cap=cap)
+    _check_cap(battery.dim ** n, cap, "levels exceed the cap")
     energies = np.array([0.0])
     for _ in range(n):
         energies = np.add.outer(energies, battery.energies).ravel()
@@ -324,10 +325,7 @@ def product_populations(populations, n: int,
                         cap: int = BRUTE_FORCE_CAP) -> np.ndarray:
     """Populations of the n-fold product of a diagonal state."""
     p = np.asarray(populations, dtype=float)
-    levels = p.size ** n
-    if levels > cap:
-        raise CapExceededError(
-            f"{levels} levels exceed the cap {cap}", required=levels, cap=cap)
+    _check_cap(p.size ** n, cap, "levels exceed the cap")
     out = np.array([1.0])
     for _ in range(n):
         out = np.multiply.outer(out, p).ravel()

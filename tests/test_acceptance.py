@@ -211,6 +211,11 @@ def test_criterion_7_entanglement_advantage(demo_battery, demo_anti_state):
     spectrum = demo_anti_state.spectrum_descending
     indep = 2 * (brute_force_oracle(spectrum, demo_battery, 1)
                  - brute_force_oracle(spectrum, demo_battery, 2))
+    # on the unit-trace demo rho x rho is already passive, so the n = 2
+    # advantage vanishes and the first one appears at n = 3
+    unit = QuantumState.diagonal(np.array(DEMO_ANTI) / sum(DEMO_ANTI))
+    unit_adv_2 = entangling_advantage(unit, demo_battery, 2)
+    unit_adv_3 = entangling_advantage(unit, demo_battery, 3)
     gibbs_ok = True
     for beta in (0.5, 1.3):
         state = gibbs_state(demo_battery, beta).to_state()
@@ -225,6 +230,11 @@ def test_criterion_7_entanglement_advantage(demo_battery, demo_anti_state):
         ("matches the frozen exact value within 1e-9",
          abs(adv - DEMO_ADVANTAGE_2) <= 1e-9),
         ("Gibbs inputs show advantage <= 1e-10 at n = 2, 3, 4", gibbs_ok),
+        ("unit-trace demo: |advantage at n=2| <= 1e-12",
+         abs(unit_adv_2) <= 1e-12),
+        # exact Fraction value: 719706601/199400599800
+        ("unit-trace demo: advantage at n=3 matches the exact value "
+         "within 1e-12", abs(unit_adv_3 - 719706601 / 199400599800) <= 1e-12),
     ])
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -168,6 +169,17 @@ class TestCurveCommand:
         # d = 2: n + 1 compositions, so n = 4 is the last feasible point
         assert len(lines) == 5
         assert "cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["lots", "0", "-5"])
+    def test_invalid_cap_env_exits_2(self, qubit_file, tmp_path, value):
+        env = dict(os.environ, ERGOKIT_MAX_COMPOSITIONS=value)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ergokit", "curve", qubit_file,
+             "--n-max", "3", "--out", str(tmp_path / "c.csv")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "ERGOKIT_MAX_COMPOSITIONS" in proc.stderr
 
     def test_round_trip_17_digits(self, demo_file, tmp_path):
         from ergokit import BatterySpec, QuantumState, curve as curve_fn

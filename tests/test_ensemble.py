@@ -1,4 +1,7 @@
+import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,10 +12,43 @@ from conftest import (DEMO_E2, DEMO_GIBBS_ENERGY, DEMO_PASSIVE_ENERGY,
 from ergokit import (BatterySpec, QuantumState, brute_force_oracle,
                      build_level_table, complete_passivity_check, curve,
                      gibbs_state, passive_energy_per_copy, passive_state)
-from ergokit.ensemble import (WeightedLevelTable, composition_count,
-                              product_energies, product_populations)
+from ergokit.ensemble import (WeightedLevelTable, _composition_matrix,
+                              composition_count, product_energies,
+                              product_populations)
 from ergokit.errors import (CapExceededError, NotDiagonalError,
                             ValidationError)
+
+
+class TestCompositionMatrix:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_matches_filtered_product(self, d):
+        for n in range(9):
+            expected = [k for k in itertools.product(range(n + 1), repeat=d)
+                        if sum(k) == n]
+            K = _composition_matrix(n, d)
+            np.testing.assert_array_equal(K, np.array(expected).reshape(-1, d))
+            assert K.shape == (composition_count(n, d), d)
+            assert K.dtype == np.int64
+            assert not K.flags.writeable
+
+    def test_log_mult_matches_exact_multinomial(self):
+        # exact integer multinomials; a battery needs at least two levels
+        for d in (2, 3, 4):
+            bat = BatterySpec(np.arange(float(d)))
+            for n in range(1, 31):
+                exact = [math.log(math.factorial(n) // math.prod(
+                    math.factorial(int(k)) for k in row))
+                    for row in _composition_matrix(n, d)]
+                t = build_level_table(np.full(d, 1.0 / d), bat, n)
+                np.testing.assert_allclose(t.log_mult, exact, rtol=1e-13,
+                                           atol=0.0)
+
+    def test_import_leaves_scipy_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, ergokit; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
 
 
 class TestBuildLevelTable:
