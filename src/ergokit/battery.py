@@ -82,6 +82,8 @@ class QuantumState:
     @classmethod
     def full(cls, matrix, check_spectrum: bool = True) -> "QuantumState":
         m = np.array(linalg.as_square_matrix(matrix))
+        if not np.all(np.isfinite(m)):
+            raise ValidationError("density matrix entries must be finite")
         if not linalg.is_hermitian(m, linalg.HERMITIAN_TOL):
             raise NotHermitianError("density matrix is not Hermitian within 1e-10")
         tr = complex(np.trace(m))

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .battery import BatterySpec, QuantumState, energy
-from .errors import CapExceededError, NotDiagonalError, ValidationError
+from .errors import (CapExceededError, NoConvergenceError, NotDiagonalError,
+                     ValidationError)
 from .gibbs import entropy, match_entropy
 
 DEFAULT_COMPOSITION_CAP = 50_000_000
@@ -28,6 +29,7 @@ BRUTE_FORCE_CAP = 10_000_000
 # same slack as state validation: rounded published spectra pass verbatim
 SPECTRUM_SUM_TOL = 1e-2
 DIAGONAL_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 
 def composition_cap(cap: int | None = None) -> int:
@@ -138,48 +140,96 @@ def build_level_table(spectrum, battery: BatterySpec, n: int,
                               energy=total_energy, log_mult=log_mult)
 
 
+def _sort_order(key: np.ndarray, tie_break: np.ndarray) -> np.ndarray:
+    """Ascending order of key, ties broken by tie_break ascending.
+
+    Without ties the permutation is unique, so the plain argsort is taken;
+    only tied keys need the slower lexsort, which keeps the result a
+    function of the values alone."""
+    order = np.argsort(key)
+    sorted_key = key[order]
+    if np.any(sorted_key[1:] == sorted_key[:-1]):
+        return np.lexsort((tie_break, key))
+    return order
+
+
+def _log_ladder(log_counts: np.ndarray) -> np.ndarray:
+    """ln of the cumulative counts, with ln 0 = -inf prepended."""
+    ladder = np.empty(log_counts.size + 1)
+    ladder[0] = -np.inf
+    np.logaddexp.accumulate(log_counts, out=ladder[1:])
+    return ladder
+
+
 def passive_energy_per_copy(table: WeightedLevelTable) -> float:
     """(1/n) tr(sigma H) for the passive rearrangement of the n-copy
     product state, without expanding the d^n levels.
 
-    Pairs the probability list (sorted descending, in groups of
-    multiplicity) with the energy list (sorted ascending, same group
-    sizes) by merging the two cumulative-count ladders; each merged
-    segment holds one (probability, energy) pair. Equivalent to greedy
-    two-pointer consumption of min(remaining group counts). Group counts
-    are handled as exp(log_mult - max log_mult), so arbitrarily large
-    multiplicities stay in range; groups more than ~1e308 times smaller
-    than the largest underflow to zero width, which is far below any
-    representable contribution.
+    The passive state puts the largest probabilities on the lowest
+    energies. On the count axis, probability row i (log_prob descending)
+    occupies [P_{i-1}, P_i), P the cumulative multiplicity, and the
+    energy rows (ascending) tile the same axis with their own ladder Q.
+    Row i contributes its mass exp(log_prob + log_mult) times the mean
+    energy over its interval: the energy of the one energy row that holds
+    the interval, taken exactly, or else (F(P_i) - F(P_{i-1})) / width
+    with F the piecewise-linear integral of the energy ladder.
+
+    Both ladders and F are kept as logarithms (np.logaddexp.accumulate),
+    so no multiplicity is ever rescaled out of range: counts up to d^n
+    with n in the thousands lose nothing to underflow. Nothing that is
+    exponentiated exceeds the total mass or an energy.
+
+    Raises NoConvergenceError when the ladder mass sum_i p_i * width_i
+    misses the row mass sum_i exp(log_prob_i + log_mult_i) by more than
+    rows * eps * (1 + ln total count) relative, so a broken merge never
+    returns a number.
     """
     lp, en, lm, n = table.log_prob, table.energy, table.log_mult, table.n
-    shift = float(np.max(lm))
-    counts = np.exp(lm - shift)
-
-    finite = lp != -np.inf
-    p_idx = np.flatnonzero(finite)
+    p_idx = np.flatnonzero(lp != -np.inf)
     if p_idx.size == 0:
         raise ValidationError("table has no nonzero-probability entries")
     # probability side: log_prob descending, ties broken by energy ascending
-    p_order = p_idx[np.lexsort((en[p_idx], -lp[p_idx]))]
-    # energy side: all levels, energy ascending, deterministic tie-break
-    e_order = np.lexsort((lp, en))
+    p_order = p_idx[_sort_order(-lp[p_idx], en[p_idx])]
+    # energy side: all levels, energy ascending, ties by log_prob ascending
+    e_order = _sort_order(en, lp)
 
-    cum_p = np.cumsum(counts[p_order])
-    cum_e = np.cumsum(counts[e_order])
-    # in exact arithmetic the nonzero-probability count never exceeds the
-    # level count; under roundoff the two ladders can differ by an ulp,
-    # so the merge runs to the smaller end
-    total = min(cum_p[-1], cum_e[-1])
+    lp_p, lm_p = lp[p_order], lm[p_order]
+    P = _log_ladder(lm_p)
+    P_lo, P_hi = P[:-1], P[1:]
+    energy, lm_e = en[e_order], lm[e_order]
+    excess = energy - energy[0]
+    Q = _log_ladder(lm_e)
+    # ln(count * excess) per energy row; -inf on the ground row
+    lm_e += np.log(excess, out=np.full_like(excess, -np.inf),
+                   where=excess > 0.0)
+    F = _log_ladder(lm_e)
 
-    bounds = np.concatenate((cum_p, cum_e))
-    bounds = np.unique(np.concatenate((bounds[bounds < total], [total])))
-    starts = np.concatenate(([0.0], bounds[:-1]))
-    widths = bounds - starts
-    p_at = p_order[np.searchsorted(cum_p, starts, side="right")]
-    e_at = e_order[np.searchsorted(cum_e, starts, side="right")]
-    mass = np.exp(np.log(widths) + shift + lp[p_at])
-    return float(np.dot(mass, en[e_at])) / n
+    # energy row j holds the counts (Q[j], Q[j + 1]]; ladder point P_hi
+    # falls in row g, clamped so an ulp of overshoot stays in the last row
+    g = np.minimum(np.searchsorted(Q[1:], P_hi), energy.size - 1)
+    q_below = Q[g]
+    # A[i] = F(P_i) / P_i, the mean excess energy over [0, P_i)
+    A = np.empty(P.size)
+    A[0] = 0.0
+    A[1:] = np.exp(F[g] - P_hi) - np.expm1(q_below - P_hi) * excess[g]
+    # width / P_i; an interval crosses an energy boundary iff one lies
+    # strictly above its start
+    rel_width = -np.expm1(P_lo - P_hi)
+    crossing = q_below > P_lo
+    mean = energy[g]
+    a_lo, a_hi = A[:-1][crossing], A[1:][crossing]
+    mean[crossing] = energy[0] + (a_lo + (a_hi - a_lo) / rel_width[crossing])
+
+    mass = np.exp(lp_p + lm_p)
+    row_mass = float(np.sum(mass))
+    ladder_mass = float(np.dot(np.exp(lp_p + P_hi), rel_width))
+    # a log ladder holds each count to ulp(ln count) ~ eps * ln(count)
+    budget = p_idx.size * _EPS * (1.0 + float(P_hi[-1])) * row_mass
+    if not abs(ladder_mass - row_mass) <= budget:
+        raise NoConvergenceError(
+            f"passive merge lost mass: ladder {ladder_mass!r} vs rows "
+            f"{row_mass!r} over {p_idx.size} rows (n={n})")
+    return float(np.dot(mass, mean)) / n
 
 
 def brute_force_oracle(spectrum, battery: BatterySpec, n: int,

@@ -26,7 +26,8 @@ class NotDiagonalError(ValidationError):
 
 
 class NoConvergenceError(ErgokitError):
-    """Iterative solver exhausted its sweep budget."""
+    """Numerical failure: an iterative solver exhausted its sweep budget,
+    or a result failed its own consistency check."""
 
 
 class TargetOutOfRangeError(ValidationError):

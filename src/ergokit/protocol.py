@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .battery import BatterySpec, QuantumState, ergotropy
+from .battery import BatterySpec, QuantumState, energy, ergotropy
 from .errors import (DimensionMismatchError, NotHermitianError,
                      NotUnitaryError, ValidationError)
-from .ensemble import curve
+from .ensemble import build_level_table, passive_energy_per_copy
 
 UNITARY_TOL = 1e-8
 
@@ -126,8 +126,10 @@ def best_product_work(state: QuantumState, battery: BatterySpec, n: int) -> floa
 def entangling_advantage(state: QuantumState, battery: BatterySpec, n: int,
                          cap: int | None = None) -> float:
     """Excess of the best global n-copy extraction over the best product
-    one: n * w_max(n) - n * w_max(1) >= 0."""
+    one: n * w_max(n) - n * w_max(1) >= 0. Needs only the n-copy table,
+    not the curve up to n."""
     if n < 2:
         raise ValidationError(f"n must be >= 2, got {n}")
-    c = curve(state, battery, n_max=n, cap=cap)
-    return n * c.work[n] - best_product_work(state, battery, n)
+    table = build_level_table(state.spectrum_descending, battery, n, cap=cap)
+    work = energy(state, battery) - passive_energy_per_copy(table)
+    return n * work - best_product_work(state, battery, n)

@@ -2,8 +2,9 @@
 values for the test suite.
 
 Reference constants were computed with independent high-precision
-oracles (mpmath at 50+ digits, exact Fraction arithmetic for the
-sorted-dot values); scripts/derive_reference_values.py regenerates them.
+oracles (mpmath at 50+ digits, exact integer arithmetic for the
+passive energies, tests/exact_oracle.py);
+scripts/derive_reference_values.py regenerates them.
 """
 
 import numpy as np
@@ -38,6 +39,18 @@ DEMO_GIBBS_ENERGY = 0.3532869394513052         # mpmath, at the beta above
 
 ENTROPY_GIBBS_BETA1 = 1.0157163593878962       # mpmath: S(omega_1), demo levels
 MAXMIX_ENERGY = 1.579 / 3.0                    # uniform populations
+
+
+# --- exact e(n) at large n -----------------------------------------------
+# Integer-multinomial oracle (tests/exact_oracle.py) on the exact rational
+# spectra; `scripts/derive_reference_values.py --large-n` prints them.
+# Here the per-copy count ladder spans more than e^745, the range of a
+# rescaled linear count, so these values gate the log-domain merge.
+SKEWED_SPECTRUM = (0.99, 0.006, 0.004)         # on DEMO_ENERGIES
+SKEWED_E = {600: 0.0067591710038147892,
+            700: 0.0067220518897966475,
+            800: 0.0066958042741978776}
+UNIT_TRACE_DEMO_E800 = 0.35329791102847108     # r = (538, 237, 224)/999
 
 
 @pytest.fixture

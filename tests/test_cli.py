@@ -9,7 +9,7 @@ import pytest
 from conftest import (DEMO_ANTI, DEMO_BETA, DEMO_ENERGIES, DEMO_ERGOTROPY,
                       DEMO_GIBBS_ENERGY, DEMO_INITIAL_ENERGY,
                       DEMO_PASSIVE_ENERGY)
-from ergokit import cli
+from ergokit import cli, ensemble
 
 
 def write_json(path, payload):
@@ -107,6 +107,18 @@ class TestErgotropyCommand:
         })
         assert cli.main(["ergotropy", path]) == 2
         assert "exactly one" in capsys.readouterr().err
+
+    def test_nan_matrix_entry_exits_2(self, tmp_path, capsys):
+        path = write_json(tmp_path / "nan.json", {
+            "energies": [0.0, 1.0],
+            "state": {"matrix": {"re": [[0.5, float("nan")], [0.1, 0.5]],
+                                 "im": [[0.0, 0.0], [0.0, 0.0]]}},
+        })
+        assert cli.main(["ergotropy", path]) == 2
+        err = capsys.readouterr().err
+        assert "entries must be finite" in err
+        assert "Hermitian" not in err
+        assert "Traceback" not in err
 
     def test_full_matrix_state(self, tmp_path, capsys):
         path = write_json(tmp_path / "full.json", {
@@ -261,6 +273,16 @@ class TestOracleCommand:
 
     def test_brute_force_cap_exits_4(self, demo_file, capsys):
         assert cli.main(["oracle", demo_file, "--n", "20"]) == 4
+
+    def test_failed_merge_invariant_exits_3(self, demo_file, monkeypatch,
+                                            capsys):
+        real = ensemble._log_ladder
+        monkeypatch.setattr(ensemble, "_log_ladder",
+                            lambda counts: real(counts) + 1e-9)
+        assert cli.main(["oracle", demo_file, "--n", "3"]) == 3
+        err = capsys.readouterr().err
+        assert "lost mass" in err
+        assert "Traceback" not in err
 
     def test_mismatch_exits_5(self, demo_file, monkeypatch, capsys):
         real = cli.brute_force_oracle

@@ -2,21 +2,25 @@ import itertools
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (DEMO_E2, DEMO_GIBBS_ENERGY, DEMO_PASSIVE_ENERGY,
-                      DEMO_SPECTRUM, MAXMIX_ENERGY, random_battery)
+                      DEMO_SPECTRUM, MAXMIX_ENERGY, SKEWED_E, SKEWED_SPECTRUM,
+                      UNIT_TRACE_DEMO_E800, random_battery)
+from exact_oracle import exact_passive_energy_per_copy
 from ergokit import (BatterySpec, QuantumState, brute_force_oracle,
                      build_level_table, complete_passivity_check, curve,
-                     gibbs_state, passive_energy_per_copy, passive_state)
+                     ensemble, gibbs_state, passive_energy_per_copy,
+                     passive_state)
 from ergokit.ensemble import (WeightedLevelTable, _composition_matrix,
                               composition_count, product_energies,
                               product_populations)
-from ergokit.errors import (CapExceededError, NotDiagonalError,
-                            ValidationError)
+from ergokit.errors import (CapExceededError, NoConvergenceError,
+                            NotDiagonalError, ValidationError)
 
 
 class TestCompositionMatrix:
@@ -144,6 +148,50 @@ class TestPassiveEnergyPerCopy:
                 n=t.n, dim=t.dim, log_prob=t.log_prob[perm],
                 energy=t.energy[perm], log_mult=t.log_mult[perm])
             assert abs(passive_energy_per_copy(shuffled) - reference) <= 1e-12
+
+
+class TestExactOracle:
+    """The merge against exact integer arithmetic, including sizes far
+    beyond brute force."""
+
+    @pytest.mark.parametrize("spectrum, energies, n", [
+        (("0.538", "0.237", "0.224"), ("0", "0.579", "1"), 40),
+        (("0.99", "0.006", "0.004"), ("0", "0.579", "1"), 40),
+        # a zero eigenvalue
+        (("0.7", "0.3", "0"), ("0", "0.3", "1"), 30),
+        # integer ladder: ties among both probabilities and energies
+        (("0.25", "0.5", "0.25"), ("0", "1", "2"), 30),
+        # negative ground energy
+        (("0.25", "0.35", "0.3", "0.1"), ("-0.5", "0.1", "0.7", "1.3"), 40),
+        (("0.2", "0.8"), ("0", "1"), 40),
+    ])
+    def test_matches_exact_oracle(self, spectrum, energies, n):
+        bat = BatterySpec(np.array([float(x) for x in energies]))
+        r = np.array([float(x) for x in spectrum])
+        for m in sorted({1, 2, 3, n // 2, n}):
+            exact = float(exact_passive_energy_per_copy(spectrum, energies, m))
+            got = passive_energy_per_copy(build_level_table(r, bat, m))
+            assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact))
+
+    def test_frozen_large_n(self, demo_battery):
+        # count ladders above e^745: a rescaled linear count underflows here
+        unit = np.array(DEMO_SPECTRUM) / sum(DEMO_SPECTRUM)
+        cases = [(SKEWED_SPECTRUM, n, e) for n, e in SKEWED_E.items()]
+        cases.append((unit, 800, UNIT_TRACE_DEMO_E800))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spectrum, n, exact in cases:
+                t = build_level_table(spectrum, demo_battery, n)
+                assert passive_energy_per_copy(t) == pytest.approx(
+                    exact, rel=1e-10, abs=0.0)
+
+    def test_corrupt_ladder_raises(self, demo_battery, monkeypatch):
+        t = build_level_table(DEMO_SPECTRUM, demo_battery, 12)
+        real = ensemble._log_ladder
+        monkeypatch.setattr(ensemble, "_log_ladder",
+                            lambda counts: real(counts) + 1e-9)
+        with pytest.raises(NoConvergenceError, match="lost mass"):
+            passive_energy_per_copy(t)
 
 
 class TestBruteForceOracle:

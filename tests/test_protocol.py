@@ -179,6 +179,14 @@ class TestProductVsEntangling:
         state = QuantumState.diagonal([0.7, 0.3])
         assert abs(entangling_advantage(state, QUBIT, n)) <= 1e-10
 
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_advantage_matches_curve_work(self, demo_battery,
+                                          demo_anti_state, n):
+        # built from the n-copy table alone, bit for bit the curve's value
+        c = curve(demo_anti_state, demo_battery, n)
+        assert entangling_advantage(demo_anti_state, demo_battery, n) == \
+            n * c.work[n] - best_product_work(demo_anti_state, demo_battery, n)
+
     def test_advantage_nonnegative(self):
         rng = np.random.default_rng(67)
         for _ in range(25):
