@@ -3,14 +3,15 @@
 
     python scripts/bench_pairs.py --parent REV [--change REV_OR_DIR] \\
         --workload curve_cold [--workload curve_batch ...] \\
-        --pairs 10 --seed0 41 --out BENCH_6.json [--trace-seed 51]
+        --seed0 41 --out BENCH_6.json [--trace-seed 51]
 
 Each side is a checkout: a directory as given, or the tree of a git
 revision exported with `git archive` into a temporary directory (so the
-repository's own state is never touched). For every workload and pair k,
-perfbench/run.py runs once on each side with seed seed0 + k; which side
-goes first is drawn at random per pair (from seed0), because the machine
-drifts over minutes and a fixed order hands the drift to one side.
+repository's own state is never touched). For every workload and each of
+the 10 pairs k, perfbench/run.py runs once on each side with seed
+seed0 + k for BENCHMARK.json's run_seconds; which side goes first is
+drawn at random per pair (from seed0), because the machine drifts over
+minutes and a fixed order hands the drift to one side.
 
 The output JSON holds, per workload and end-to-end metric: the parent
 and change medians, the parent's interquartile range, the relative
@@ -34,6 +35,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# the fewest pairs in which a claimed gain can win 9 of 10
+PAIRS = 10
 
 
 def checkout(rev_or_dir: str, tmp: Path, name: str) -> Path:
@@ -99,16 +102,13 @@ def main(argv=None) -> int:
                         help="git revision or checkout directory "
                              "(default: this working tree)")
     parser.add_argument("--workload", action="append", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed0", type=int, default=41)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: BENCHMARK.json run_seconds)")
     parser.add_argument("--trace-seed", type=int, default=None)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     # the side order is drawn from seed0 too, so a rerun repeats it
     order_rng = random.Random(args.seed0)
@@ -122,7 +122,7 @@ def main(argv=None) -> int:
                                     "change")}
         for workload in args.workload:
             runs = []
-            for k in range(args.pairs):
+            for k in range(PAIRS):
                 seed = args.seed0 + k
                 sides = ["parent", "change"]
                 order_rng.shuffle(sides)
@@ -132,7 +132,7 @@ def main(argv=None) -> int:
                                                    seed, seconds, 0)
                     report.setdefault("machine", machine)
                 runs.append(run)
-                print(f"{workload} pair {k + 1}/{args.pairs} seed {seed} "
+                print(f"{workload} pair {k + 1}/{PAIRS} seed {seed} "
                       f"({sides[0]} first): wall_s parent "
                       f"{run['parent']['metrics']['wall_s']['value']:.3f} "
                       f"change {run['change']['metrics']['wall_s']['value']:.3f}",

@@ -140,16 +140,16 @@ def build_level_table(spectrum, battery: BatterySpec, n: int,
                               energy=total_energy, log_mult=log_mult)
 
 
-def _sort_order(key: np.ndarray, tie_break: np.ndarray) -> np.ndarray:
-    """Ascending order of key, ties broken by tie_break ascending.
+def _sort_order(key: np.ndarray) -> np.ndarray:
+    """Ascending order of key; tied keys keep their table order.
 
     Without ties the permutation is unique, so the plain argsort is taken;
-    only tied keys need the slower lexsort, which keeps the result a
-    function of the values alone."""
-    order = np.argsort(key)
+    only tied keys need the slower stable sort, which keeps the result a
+    function of the table alone."""
+    order = key.argsort()
     sorted_key = key[order]
-    if np.any(sorted_key[1:] == sorted_key[:-1]):
-        return np.lexsort((tie_break, key))
+    if (sorted_key[1:] == sorted_key[:-1]).any():
+        return key.argsort(kind="stable")
     return order
 
 
@@ -179,19 +179,22 @@ def passive_energy_per_copy(table: WeightedLevelTable) -> float:
     with n in the thousands lose nothing to underflow. Nothing that is
     exponentiated exceeds the total mass or an energy.
 
-    Raises NoConvergenceError when the ladder mass sum_i p_i * width_i
-    misses the row mass sum_i exp(log_prob_i + log_mult_i) by more than
-    rows * eps * (1 + ln total count) relative, so a broken merge never
-    returns a number.
+    Two checks, each allowing the worst-case rounding of the log ladders
+    (rows * eps * (1 + ln total count) relative), raise NoConvergenceError:
+    the ladder mass sum_i p_i * width_i must match the row mass
+    sum_i exp(log_prob_i + log_mult_i), and the mean of each interval that
+    crosses energy rows must lie between the energies of the rows holding
+    its ends. They catch a corrupted count ladder or energy integral; a
+    wrong row index that leaves every mean inside its rows is not caught.
     """
     lp, en, lm, n = table.log_prob, table.energy, table.log_mult, table.n
-    p_idx = np.flatnonzero(lp != -np.inf)
+    p_idx = (lp != -np.inf).nonzero()[0]
     if p_idx.size == 0:
         raise ValidationError("table has no nonzero-probability entries")
-    # probability side: log_prob descending, ties broken by energy ascending
-    p_order = p_idx[_sort_order(-lp[p_idx], en[p_idx])]
-    # energy side: all levels, energy ascending, ties by log_prob ascending
-    e_order = _sort_order(en, lp)
+    # probability side: log_prob descending; energy side: all levels,
+    # energy ascending
+    p_order = p_idx[_sort_order(-lp[p_idx])]
+    e_order = _sort_order(en)
 
     lp_p, lm_p = lp[p_order], lm[p_order]
     P = _log_ladder(lm_p)
@@ -200,13 +203,15 @@ def passive_energy_per_copy(table: WeightedLevelTable) -> float:
     excess = energy - energy[0]
     Q = _log_ladder(lm_e)
     # ln(count * excess) per energy row; -inf on the ground row
-    lm_e += np.log(excess, out=np.full_like(excess, -np.inf),
+    lm_e += np.log(excess, out=np.full(excess.size, -np.inf),
                    where=excess > 0.0)
     F = _log_ladder(lm_e)
 
-    # energy row j holds the counts (Q[j], Q[j + 1]]; ladder point P_hi
-    # falls in row g, clamped so an ulp of overshoot stays in the last row
-    g = np.minimum(np.searchsorted(Q[1:], P_hi), energy.size - 1)
+    # energy row j holds the counts (Q[j], Q[j + 1]]; ladder point P_i
+    # falls in row g_at[i] (row 0 for P_0 = -inf), clamped so an ulp of
+    # overshoot stays in the last row; interval i ends in row g = g_at[i+1]
+    g_at = np.minimum(Q[1:].searchsorted(P), energy.size - 1)
+    g = g_at[1:]
     q_below = Q[g]
     # A[i] = F(P_i) / P_i, the mean excess energy over [0, P_i)
     A = np.empty(P.size)
@@ -215,20 +220,31 @@ def passive_energy_per_copy(table: WeightedLevelTable) -> float:
     # width / P_i; an interval crosses an energy boundary iff one lies
     # strictly above its start
     rel_width = -np.expm1(P_lo - P_hi)
-    crossing = q_below > P_lo
+    cross = (q_below > P_lo).nonzero()[0]
+    a_lo, a_hi, rw = A[cross], A[cross + 1], rel_width[cross]
+    mean_cross = energy[0] + (a_lo + (a_hi - a_lo) / rw)
     mean = energy[g]
-    a_lo, a_hi = A[:-1][crossing], A[1:][crossing]
-    mean[crossing] = energy[0] + (a_lo + (a_hi - a_lo) / rel_width[crossing])
+    mean[cross] = mean_cross
 
     mass = np.exp(lp_p + lm_p)
-    row_mass = float(np.sum(mass))
+    row_mass = float(mass.sum())
     ladder_mass = float(np.dot(np.exp(lp_p + P_hi), rel_width))
     # a log ladder holds each count to ulp(ln count) ~ eps * ln(count)
-    budget = p_idx.size * _EPS * (1.0 + float(P_hi[-1])) * row_mass
-    if not abs(ladder_mass - row_mass) <= budget:
+    slack = p_idx.size * _EPS * (1.0 + float(P_hi[-1]))
+    if not abs(ladder_mass - row_mass) <= slack * row_mass:
         raise NoConvergenceError(
             f"passive merge lost mass: ladder {ladder_mass!r} vs rows "
             f"{row_mass!r} over {p_idx.size} rows (n={n})")
+    # a crossing interval runs from row g_at[i] to row g_at[i + 1]; the
+    # ladder errors in A and the width move its mean by a few times
+    # slack * scale / rel_width
+    stray = np.maximum(energy[g_at[cross]] - mean_cross,
+                       mean_cross - energy[g[cross]])
+    scale = abs(float(energy[0])) + abs(float(energy[-1]))
+    if not (stray * rw <= 8.0 * slack * scale).all():
+        raise NoConvergenceError(
+            f"passive merge: an interval mean lies outside its energy rows "
+            f"over {p_idx.size} rows (n={n})")
     return float(np.dot(mass, mean)) / n
 
 

@@ -193,6 +193,21 @@ class TestExactOracle:
         with pytest.raises(NoConvergenceError, match="lost mass"):
             passive_energy_per_copy(t)
 
+    def test_corrupt_energy_integral_raises(self, demo_battery, monkeypatch):
+        # the third ladder is the energy integral F, which the mass check
+        # never reads; doubling it pushes crossing means out of their rows
+        t = build_level_table(DEMO_SPECTRUM, demo_battery, 12)
+        real = ensemble._log_ladder
+        calls = []
+
+        def doubled_integral(counts):
+            calls.append(counts.size)
+            return real(counts) + (np.log(2.0) if len(calls) == 3 else 0.0)
+
+        monkeypatch.setattr(ensemble, "_log_ladder", doubled_integral)
+        with pytest.raises(NoConvergenceError, match="outside its energy rows"):
+            passive_energy_per_copy(t)
+
 
 class TestBruteForceOracle:
     def test_single_copy_identity(self, demo_battery, demo_passive_state):
