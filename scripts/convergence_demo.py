@@ -12,7 +12,7 @@ from pathlib import Path
 
 from ergokit import (best_product_work, curve, entangling_advantage,
                      ergotropy)
-from ergokit.cli import fmt, load_problem
+from ergokit.cli import fmt, load_problem, write_curve_csv
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_PROBLEM = REPO_ROOT / "demo" / "qutrit.json"
@@ -43,13 +43,7 @@ def main():
         e_n = result.passive_energy[n]
         print(f"{n:>4} {fmt(e_n):>22} {fmt(e_n - result.asymptote):>22}")
 
-    lines = ["n,e_n,w_n,asymptote,gap"]
-    for n in result.n_values:
-        e_n = result.passive_energy[n]
-        lines.append(",".join([str(n), fmt(e_n), fmt(result.work[n]),
-                               fmt(result.asymptote),
-                               fmt(e_n - result.asymptote)]))
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    write_curve_csv(args.out, result)
     print(f"\nwrote {len(result.n_values)} rows to {args.out}")
 
     if args.n_max >= 2:

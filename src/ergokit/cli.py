@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -24,7 +25,7 @@ from .ensemble import (COMPOSITION_CAP_ENV, brute_force_oracle, build_level_tabl
                        curve, passive_energy_per_copy)
 from .errors import (CapExceededError, DimensionMismatchError, ErgokitError,
                      NoConvergenceError, ValidationError)
-from .gibbs import entropy, match_entropy
+from .gibbs import entropy, entropy_target, match_entropy
 from .protocol import ControlSchedule, evolve
 
 EXIT_OK = 0
@@ -135,7 +136,7 @@ def cmd_ergotropy(args) -> int:
     battery, state, label = load_problem(args.problem)
     report = passive_state(state, battery)
     s_rho = entropy(state)
-    match = match_entropy(battery, s_rho, tol=args.tol)
+    match = match_entropy(battery, entropy_target(state, battery), tol=args.tol)
     bound = report.initial_energy - match.gibbs_energy
     payload = {
         "label": label,
@@ -168,14 +169,19 @@ def cmd_ergotropy(args) -> int:
     return EXIT_OK
 
 
-def _write_curve_rows(out_path: str, result) -> None:
+def write_curve_csv(out_path: str, result) -> None:
+    """The curve as CSV, header n,e_n,w_n,asymptote,gap, one row per n."""
+    work = result.work
     lines = ["n,e_n,w_n,asymptote,gap"]
     for n in result.n_values:
         e_n = result.passive_energy[n]
-        lines.append(",".join([str(n), fmt(e_n), fmt(result.work[n]),
+        lines.append(",".join([str(n), fmt(e_n), fmt(work[n]),
                                fmt(result.asymptote), fmt(e_n - result.asymptote)]))
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ValidationError(f"{out_path}: {exc}") from exc
 
 
 def _curve_summary(result) -> str:
@@ -193,11 +199,11 @@ def cmd_curve(args) -> int:
     try:
         result = curve(state, battery, n_max=args.n_max, match_tol=args.tol)
     except CapExceededError as exc:
-        _write_curve_rows(args.out, exc.partial)
+        write_curve_csv(args.out, exc.partial)
         print(f"composition cap exceeded: {exc}", file=sys.stderr)
         print(_curve_summary(exc.partial), file=sys.stderr)
         return EXIT_CAP
-    _write_curve_rows(args.out, result)
+    write_curve_csv(args.out, result)
     print(_curve_summary(result), file=sys.stderr)
     return EXIT_OK
 
@@ -239,6 +245,13 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def finite_positive_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ergokit",
@@ -251,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="single-copy ergotropy and the entropy-matched bound")
     p.add_argument("problem", help="problem JSON file")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    p.add_argument("--tol", type=float, default=1e-10,
+    p.add_argument("--tol", type=finite_positive_float, default=1e-10,
                    help="entropy-match solver tolerance (default 1e-10)")
     p.set_defaults(func=cmd_ergotropy)
 
@@ -260,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem", help="problem JSON file")
     p.add_argument("--n-max", type=int, required=True, help="largest copy count")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--tol", type=float, default=1e-10,
+    p.add_argument("--tol", type=finite_positive_float, default=1e-10,
                    help="entropy-match solver tolerance (default 1e-10)")
     p.set_defaults(func=cmd_curve)
 
@@ -268,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run a piecewise-constant control schedule")
     p.add_argument("problem", help="problem JSON file")
     p.add_argument("schedule", help="schedule JSON file")
-    p.add_argument("--tol", type=float, default=1e-10,
+    p.add_argument("--tol", type=finite_positive_float, default=1e-10,
                    help="Hermiticity tolerance for controls (default 1e-10)")
     p.set_defaults(func=cmd_simulate)
 
@@ -276,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cross-check compressed e(n) against brute force")
     p.add_argument("problem", help="problem JSON file")
     p.add_argument("--n", type=int, required=True, help="copy count")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=finite_positive_float, default=1e-9,
                    help="mismatch threshold (default 1e-9)")
     p.set_defaults(func=cmd_oracle)
     return parser

@@ -18,16 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .battery import BatterySpec, QuantumState, energy
+from .battery import TRACE_TOL, BatterySpec, QuantumState, energy
 from .errors import (CapExceededError, NoConvergenceError, NotDiagonalError,
                      ValidationError)
-from .gibbs import entropy, match_entropy
+from .gibbs import entropy_target, match_entropy
 
 DEFAULT_COMPOSITION_CAP = 50_000_000
 COMPOSITION_CAP_ENV = "ERGOKIT_MAX_COMPOSITIONS"
 BRUTE_FORCE_CAP = 10_000_000
-# same slack as state validation: rounded published spectra pass verbatim
-SPECTRUM_SUM_TOL = 1e-2
 DIAGONAL_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 
@@ -109,8 +107,8 @@ def _validated_spectrum(spectrum, d: int) -> np.ndarray:
     if np.min(r) < 0.0:
         raise ValidationError(f"spectrum entries must be >= 0, got min {np.min(r)!r}")
     s = float(np.sum(r))
-    if abs(s - 1.0) > SPECTRUM_SUM_TOL:
-        raise ValidationError(f"spectrum must sum to 1 within {SPECTRUM_SUM_TOL}, got {s!r}")
+    if abs(s - 1.0) > TRACE_TOL:
+        raise ValidationError(f"spectrum must sum to 1 within {TRACE_TOL}, got {s!r}")
     return r
 
 
@@ -267,13 +265,18 @@ class EnsembleCurve:
     """Per-copy passive energies and extractable work for n = 1..n_max."""
 
     passive_energy: dict[int, float]
-    work: dict[int, float]
     asymptote: float
     initial_energy: float
 
     @property
     def n_values(self) -> list[int]:
         return sorted(self.passive_energy)
+
+    @property
+    def work(self) -> dict[int, float]:
+        """w(n) = tr(rho H) - e(n), per copy."""
+        return {n: self.initial_energy - e
+                for n, e in self.passive_energy.items()}
 
 
 def curve(state: QuantumState, battery: BatterySpec, n_max: int,
@@ -290,22 +293,21 @@ def curve(state: QuantumState, battery: BatterySpec, n_max: int,
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
     spectrum = state.spectrum_descending
     initial = energy(state, battery)
-    asymptote = match_entropy(battery, entropy(state), tol=match_tol).gibbs_energy
+    asymptote = match_entropy(battery, entropy_target(state, battery),
+                              tol=match_tol).gibbs_energy
     e: dict[int, float] = {}
-    w: dict[int, float] = {}
     for n in range(1, n_max + 1):
         try:
             table = build_level_table(spectrum, battery, n, cap=cap)
         except CapExceededError as exc:
-            partial = EnsembleCurve(passive_energy=e, work=w,
-                                    asymptote=asymptote, initial_energy=initial)
+            partial = EnsembleCurve(passive_energy=e, asymptote=asymptote,
+                                    initial_energy=initial)
             raise CapExceededError(
                 f"curve stopped at n={n}: {exc}", required=exc.required,
                 cap=exc.cap, largest_feasible_n=n - 1, partial=partial) from exc
         e[n] = passive_energy_per_copy(table)
-        w[n] = initial - e[n]
-    return EnsembleCurve(passive_energy=e, work=w,
-                         asymptote=asymptote, initial_energy=initial)
+    return EnsembleCurve(passive_energy=e, asymptote=asymptote,
+                         initial_energy=initial)
 
 
 @dataclass(frozen=True)
@@ -324,10 +326,11 @@ def complete_passivity_check(state: QuantumState, battery: BatterySpec,
                              cap: int | None = None) -> CompletePassivityReport:
     """Check whether per-copy work stays below tol * n for all n <= n_max.
 
-    Requires a state diagonal in the energy basis. Also reports a direct
-    Gibbs-form fit of ln(populations) against the energies: least-squares
-    beta with RMS residual. A zero population is incompatible with any
-    finite-beta Gibbs form, so the residual is infinite then, except for
+    Requires a state diagonal in the energy basis. The work is curve's,
+    so a cap hit raises its CapExceededError with the partial curve. Also
+    reports a direct Gibbs-form fit of ln(populations) against the
+    energies: least-squares beta with RMS residual. A zero population is
+    incompatible with any finite-beta Gibbs form, so the residual is infinite then, except for
     the pure ground state which is reported as the beta = infinity limit.
     """
     if n_max < 2:
@@ -336,19 +339,9 @@ def complete_passivity_check(state: QuantumState, battery: BatterySpec,
         raise NotDiagonalError(
             f"state has off-diagonal weight {state.max_offdiagonal():.3e}; "
             "complete-passivity check needs a diagonal state")
-    if state.dim != battery.dim:
-        raise ValidationError(
-            f"state dimension {state.dim} != battery dimension {battery.dim}")
 
-    spectrum = state.spectrum_descending
-    initial = energy(state, battery)
-    work: dict[int, float] = {}
-    first_active = None
-    for n in range(1, n_max + 1):
-        table = build_level_table(spectrum, battery, n, cap=cap)
-        work[n] = initial - passive_energy_per_copy(table)
-        if first_active is None and work[n] > tol * n:
-            first_active = n
+    work = curve(state, battery, n_max, cap=cap).work
+    first_active = next((n for n, w in work.items() if w > tol * n), None)
 
     pops = state.diagonal_populations()
     positive = pops > 0.0

@@ -25,9 +25,7 @@ RANGE_SLACK = 1e-12
 
 def entropy(state: QuantumState) -> float:
     """von Neumann entropy -sum lam ln lam in nats, with 0 ln 0 := 0."""
-    w = state.spectrum_descending
-    nz = w[w > 0.0]
-    return max(0.0, float(-np.dot(nz, np.log(nz))))
+    return entropy_of_populations(state.spectrum_descending)
 
 
 def entropy_of_populations(populations: np.ndarray) -> float:
@@ -162,9 +160,16 @@ def match_entropy(battery: BatterySpec, target_entropy: float,
         f"tol={tol}")
 
 
+def entropy_target(state: QuantumState, battery: BatterySpec) -> float:
+    """S(rho) capped at ln d: the entropy a Gibbs state is matched to. A
+    state with trace up to 1 + TRACE_TOL can exceed ln d; it matches
+    beta = 0 and is never renormalised."""
+    return min(entropy(state), math.log(battery.dim))
+
+
 def thermodynamic_bound(state: QuantumState, battery: BatterySpec,
                         tol: float = MATCH_TOL) -> float:
     """tr(rho H) - tr(omega_betabar H): the free-energy upper bound on
     extractable work at the entropy-matched temperature."""
-    match = match_entropy(battery, entropy(state), tol=tol)
+    match = match_entropy(battery, entropy_target(state, battery), tol=tol)
     return energy(state, battery) - match.gibbs_energy

@@ -131,20 +131,3 @@ def expm_hermitian_generator(A, t: float, tol: float = HERMITIAN_TOL) -> np.ndar
     Q = eig.eigenvectors
     return (Q * phases) @ Q.conj().T
 
-
-def characteristic_polynomial(M) -> np.ndarray:
-    """Coefficients of det(xI - M), leading 1 first, by Faddeev-LeVerrier.
-
-    Uses only matrix products and traces; serves as an eigenvalue oracle
-    path that shares no code with the Jacobi solver.
-    """
-    A = as_square_matrix(M)
-    d = A.shape[0]
-    coeffs = np.zeros(d + 1, dtype=complex)
-    coeffs[0] = 1.0
-    Mk = np.zeros_like(A)
-    I = np.eye(d, dtype=complex)
-    for k in range(1, d + 1):
-        Mk = A @ Mk + coeffs[k - 1] * I
-        coeffs[k] = -np.trace(A @ Mk) / k
-    return coeffs

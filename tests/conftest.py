@@ -40,6 +40,12 @@ DEMO_GIBBS_ENERGY = 0.3532869394513052         # mpmath, at the beta above
 ENTROPY_GIBBS_BETA1 = 1.0157163593878962       # mpmath: S(omega_1), demo levels
 MAXMIX_ENERGY = 1.579 / 3.0                    # uniform populations
 
+# Near-uniform populations summing to 1.009, inside the 1e-2 trace
+# slack: S = 1.0994... exceeds ln 3, so the entropy target is capped at
+# ln 3 and the match is beta = 0 (Gibbs energy: the mean level, 0.5).
+OVERFULL_ENERGIES = (0.0, 0.5, 1.0)
+OVERFULL_POPULATIONS = (0.3364, 0.3363, 0.3363)
+
 
 # --- exact e(n) at large n -----------------------------------------------
 # Integer-multinomial oracle (tests/exact_oracle.py) on the exact rational

@@ -2,14 +2,19 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import (DEMO_ANTI, DEMO_BETA, DEMO_ENERGIES, DEMO_ERGOTROPY,
                       DEMO_GIBBS_ENERGY, DEMO_INITIAL_ENERGY,
-                      DEMO_PASSIVE_ENERGY)
+                      DEMO_PASSIVE_ENERGY, OVERFULL_ENERGIES,
+                      OVERFULL_POPULATIONS)
+import ergokit
 from ergokit import cli, ensemble
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_json(path, payload):
@@ -30,6 +35,14 @@ def qubit_file(tmp_path):
     return write_json(tmp_path / "qubit.json", {
         "energies": [0.0, 1.0],
         "state": {"populations": [0.2, 0.8]},
+    })
+
+
+@pytest.fixture
+def overfull_file(tmp_path):
+    return write_json(tmp_path / "overfull.json", {
+        "energies": list(OVERFULL_ENERGIES),
+        "state": {"populations": list(OVERFULL_POPULATIONS)},
     })
 
 
@@ -120,6 +133,14 @@ class TestErgotropyCommand:
         assert "Hermitian" not in err
         assert "Traceback" not in err
 
+    def test_entropy_above_ln_d_matches_beta_zero(self, overfull_file, capsys):
+        assert cli.main(["ergotropy", overfull_file, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["entropy"] > np.log(3)
+        assert payload["beta_matched"] == 0.0
+        assert payload["thermodynamic_bound"] == pytest.approx(
+            payload["initial_energy"] - 0.5, abs=1e-15)
+
     def test_full_matrix_state(self, tmp_path, capsys):
         path = write_json(tmp_path / "full.json", {
             "energies": [0.0, 1.0],
@@ -192,6 +213,39 @@ class TestCurveCommand:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "ERGOKIT_MAX_COMPOSITIONS" in proc.stderr
+
+    def test_entropy_above_ln_d_matches_beta_zero(self, overfull_file,
+                                                  tmp_path):
+        out = tmp_path / "overfull.csv"
+        assert cli.main(["curve", overfull_file, "--n-max", "4",
+                         "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 4
+        # beta = 0: the asymptote is the mean level
+        assert all(float(row.split(",")[3]) == 0.5 for row in rows)
+
+    def test_missing_out_directory_exits_2(self, demo_file, tmp_path, capsys):
+        out = tmp_path / "no_such_dir" / "curve.csv"
+        assert cli.main(["curve", demo_file, "--n-max", "3",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(out) in err
+        assert "Traceback" not in err
+
+    def test_convergence_demo_writes_the_same_csv(self, tmp_path):
+        cli_csv, script_csv = tmp_path / "cli.csv", tmp_path / "script.csv"
+        demo = str(REPO_ROOT / "demo" / "qutrit.json")
+        assert cli.main(["curve", demo, "--n-max", "6",
+                         "--out", str(cli_csv)]) == 0
+        src = str(Path(ergokit.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "scripts" / "convergence_demo.py"),
+             "--problem", demo, "--n-max", "6", "--out", str(script_csv)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert script_csv.read_bytes() == cli_csv.read_bytes()
 
     def test_round_trip_17_digits(self, demo_file, tmp_path):
         from ergokit import BatterySpec, QuantumState, curve as curve_fn
@@ -289,6 +343,26 @@ class TestOracleCommand:
         monkeypatch.setattr(cli, "brute_force_oracle",
                             lambda *a, **k: real(*a, **k) + 1e-6)
         assert cli.main(["oracle", demo_file, "--n", "3"]) == 5
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", [
+    ["ergotropy", "{problem}"],
+    ["curve", "{problem}", "--n-max", "2", "--out", "{out}"],
+    ["simulate", "{problem}", "{schedule}"],
+    ["oracle", "{problem}", "--n", "2"],
+], ids=["ergotropy", "curve", "simulate", "oracle"])
+def test_tol_must_be_finite_and_positive(command, value, qubit_file, tmp_path,
+                                         capsys):
+    names = {"problem": qubit_file, "out": str(tmp_path / "c.csv"),
+             "schedule": swap_schedule_file(tmp_path)}
+    argv = [arg.format(**names) for arg in command] + ["--tol", value]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--tol" in err
+    assert "Traceback" not in err
 
 
 class TestEntryPoints:

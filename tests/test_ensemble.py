@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (DEMO_E2, DEMO_GIBBS_ENERGY, DEMO_PASSIVE_ENERGY,
-                      DEMO_SPECTRUM, MAXMIX_ENERGY, SKEWED_E, SKEWED_SPECTRUM,
-                      UNIT_TRACE_DEMO_E800, random_battery)
+                      DEMO_SPECTRUM, MAXMIX_ENERGY, OVERFULL_ENERGIES,
+                      OVERFULL_POPULATIONS, SKEWED_E, SKEWED_SPECTRUM,
+                      UNIT_TRACE_DEMO_E800, random_battery,
+                      random_diagonal_state)
 from exact_oracle import exact_passive_energy_per_copy
 from ergokit import (BatterySpec, QuantumState, brute_force_oracle,
                      build_level_table, complete_passivity_check, curve,
@@ -19,8 +21,9 @@ from ergokit import (BatterySpec, QuantumState, brute_force_oracle,
 from ergokit.ensemble import (WeightedLevelTable, _composition_matrix,
                               composition_count, product_energies,
                               product_populations)
-from ergokit.errors import (CapExceededError, NoConvergenceError,
-                            NotDiagonalError, ValidationError)
+from ergokit.errors import (CapExceededError, DimensionMismatchError,
+                            NoConvergenceError, NotDiagonalError,
+                            ValidationError)
 
 
 class TestCompositionMatrix:
@@ -323,6 +326,36 @@ class TestCompletePassivity:
         state = QuantumState.diagonal([0.6, 0.4, 0.0])
         rep = complete_passivity_check(state, demo_battery, n_max=3)
         assert rep.fit_residual == math.inf
+
+    def test_work_is_the_curves(self, demo_battery, demo_anti_state):
+        rng = np.random.default_rng(29)
+        cases = [(demo_anti_state, demo_battery, 8)]
+        for _ in range(20):
+            d = int(rng.integers(2, 6))
+            cases.append((random_diagonal_state(rng, d), random_battery(rng, d),
+                          int(rng.integers(2, 8))))
+        for state, bat, n_max in cases:
+            work = curve(state, bat, n_max).work
+            assert complete_passivity_check(state, bat, n_max).work == work
+
+    def test_cap_exceeded_carries_partial(self, demo_battery, demo_anti_state):
+        with pytest.raises(CapExceededError) as exc:
+            complete_passivity_check(demo_anti_state, demo_battery, 10,
+                                     cap=composition_count(4, 3))
+        assert exc.value.largest_feasible_n == 4
+        assert exc.value.partial.work == curve(demo_anti_state, demo_battery,
+                                               4).work
+
+    def test_entropy_above_ln_d(self):
+        bat = BatterySpec(np.array(OVERFULL_ENERGIES))
+        state = QuantumState.diagonal(OVERFULL_POPULATIONS)
+        rep = complete_passivity_check(state, bat, n_max=4)
+        assert sorted(rep.work) == [1, 2, 3, 4]
+
+    def test_dimension_mismatch(self, demo_passive_state):
+        with pytest.raises(DimensionMismatchError):
+            complete_passivity_check(demo_passive_state,
+                                     BatterySpec(np.array([0.0, 1.0])), 3)
 
     def test_requires_diagonal_state(self, demo_battery):
         rho = np.diag([0.6, 0.25, 0.15]).astype(complex)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from conftest import (DEMO_BETA, DEMO_ENTROPY, DEMO_GIBBS_ENERGY,
                       DEMO_INITIAL_ENERGY, ENTROPY_GIBBS_BETA1, MAXMIX_ENERGY,
-                      random_battery, random_density_matrix,
+                      OVERFULL_ENERGIES, OVERFULL_POPULATIONS, random_battery, random_density_matrix,
                       random_diagonal_state)
 from ergokit import (BatterySpec, QuantumState, energy, ergotropy, gibbs_state,
                      match_entropy, passive_state, thermodynamic_bound)
@@ -142,6 +142,13 @@ class TestThermodynamicBound:
     def test_maximally_mixed(self, demo_battery):
         state = QuantumState.diagonal(np.full(3, 1 / 3))
         assert abs(thermodynamic_bound(state, demo_battery)) <= 1e-12
+
+    def test_entropy_above_ln_d_matches_beta_zero(self):
+        bat = BatterySpec(np.array(OVERFULL_ENERGIES))
+        state = QuantumState.diagonal(OVERFULL_POPULATIONS)
+        assert entropy(state) > math.log(3)
+        assert thermodynamic_bound(state, bat) == pytest.approx(
+            energy(state, bat) - 0.5, abs=1e-15)
 
     def test_demo_bound_exceeds_ergotropy(self, demo_battery, demo_anti_state):
         bound = thermodynamic_bound(demo_anti_state, demo_battery)

@@ -12,10 +12,28 @@ def random_hermitian(rng, d, scale=1.0):
     return scale * (G + G.conj().T) / 2
 
 
+def characteristic_polynomial(M) -> np.ndarray:
+    """Coefficients of det(xI - M), leading 1 first, by Faddeev-LeVerrier.
+
+    Uses only matrix products and traces; serves as an eigenvalue oracle
+    path that shares no code with the Jacobi solver.
+    """
+    A = linalg.as_square_matrix(M)
+    d = A.shape[0]
+    coeffs = np.zeros(d + 1, dtype=complex)
+    coeffs[0] = 1.0
+    Mk = np.zeros_like(A)
+    I = np.eye(d, dtype=complex)
+    for k in range(1, d + 1):
+        Mk = A @ Mk + coeffs[k - 1] * I
+        coeffs[k] = -np.trace(A @ Mk) / k
+    return coeffs
+
+
 def companion_eigenvalues(M):
     """Independent oracle: characteristic polynomial by Faddeev-LeVerrier,
     roots via the companion matrix (np.roots)."""
-    coeffs = linalg.characteristic_polynomial(M)
+    coeffs = characteristic_polynomial(M)
     return np.sort(np.roots(coeffs).real)
 
 
