@@ -20,6 +20,12 @@ better in that pair, in the metric's direction from BENCHMARK.json),
 plus the operation and failure counts, the seeds, the order of each pair
 and the machine line perfbench prints. --trace-seed adds one traced run
 per side and workload with the per-layer metrics.
+
+Each metric also gets a verdict against its BENCHMARK.json bound (a
+fraction of the parent's median): worse_beyond_bound when the change's
+median is worse than the parent's by more than the bound, and unresolved
+when the parent's IQR alone exceeds the bound and not every change run
+beats every parent run.
 """
 
 from __future__ import annotations
@@ -68,11 +74,15 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float,
     return json.loads(lines[-1]), machine
 
 
-def summarise(runs: list[dict], better: dict[str, str]) -> dict:
+def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per metric of BENCHMARK.json's end_to_end list: medians, spread,
+    pairs won and the verdict against the metric's bound."""
     out = {}
-    for metric, direction in better.items():
+    for spec in end_to_end:
+        metric, direction, bound = spec["name"], spec["better"], spec["bound"]
         parent = [r["parent"]["metrics"][metric]["value"] for r in runs]
         change = [r["change"]["metrics"][metric]["value"] for r in runs]
+        # sign * (change - parent) < 0 means the change is better
         sign = 1.0 if direction == "lower" else -1.0
         q1, _, q3 = (statistics.quantiles(parent, n=4, method="inclusive")
                      if len(parent) > 1 else (parent[0],) * 3)
@@ -83,6 +93,11 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
             "parent_median": p_med,
             "change_median": c_med,
             "rel_change": c_med / p_med - 1.0 if p_med else None,
+            "bound": bound,
+            "worse_beyond_bound": sign * (c_med - p_med) > bound * abs(p_med),
+            "unresolved": (q3 - q1 > bound * abs(p_med)
+                           and not all(sign * (c - p) < 0
+                                       for c in change for p in parent)),
             "parent_iqr": q3 - q1,
             "median_gap_exceeds_parent_iqr": abs(c_med - p_med) > q3 - q1,
             "pairs_won": sum(sign * (c - p) < 0
@@ -109,7 +124,6 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     # the side order is drawn from seed0 too, so a rerun repeats it
     order_rng = random.Random(args.seed0)
     report = {"parent": args.parent,
@@ -144,7 +158,7 @@ def main(argv=None) -> int:
                               for s in trees},
                 "failed": {s: sum(r[s]["failed"] for r in runs)
                            for s in trees},
-                "metrics": summarise(runs, better),
+                "metrics": summarise(runs, spec["end_to_end"]),
             }
             if args.trace_seed is not None:
                 entry["traced"] = {"seed": args.trace_seed}

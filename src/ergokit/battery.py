@@ -84,7 +84,7 @@ class QuantumState:
         m = np.array(linalg.as_square_matrix(matrix))
         if not np.all(np.isfinite(m)):
             raise ValidationError("density matrix entries must be finite")
-        if not linalg.is_hermitian(m, linalg.HERMITIAN_TOL):
+        if not linalg.is_hermitian(m):
             raise NotHermitianError("density matrix is not Hermitian within 1e-10")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_TOL:
@@ -119,8 +119,7 @@ class QuantumState:
         """Largest off-diagonal magnitude in the energy eigenbasis."""
         if self.populations is not None:
             return 0.0
-        mask = ~np.eye(self.dim, dtype=bool)
-        return float(np.max(np.abs(self.matrix[mask])))
+        return linalg.max_offdiagonal(self.matrix)
 
     @cached_property
     def spectrum_descending(self) -> np.ndarray:
@@ -178,15 +177,14 @@ def energy(state: QuantumState, battery: BatterySpec) -> float:
     return float(np.dot(state.diagonal_populations(), battery.energies))
 
 
-def is_passive(state: QuantumState, battery: BatterySpec,
-               tol: float = PASSIVITY_TOL) -> bool:
-    """Passive iff rho commutes with H (within tol) and populations are
-    non-increasing in energy (within tol)."""
+def is_passive(state: QuantumState, battery: BatterySpec) -> bool:
+    """Passive iff rho commutes with H and populations are non-increasing
+    in energy, both within PASSIVITY_TOL."""
     _check_dims(state, battery)
-    if state.max_offdiagonal() > tol:
+    if state.max_offdiagonal() > PASSIVITY_TOL:
         return False
     s = state.diagonal_populations()
-    return bool(np.all(s[1:] <= s[:-1] + tol))
+    return bool(np.all(s[1:] <= s[:-1] + PASSIVITY_TOL))
 
 
 def passive_state(state: QuantumState, battery: BatterySpec) -> ErgotropyReport:

@@ -27,14 +27,14 @@ DEFAULT_COMPOSITION_CAP = 50_000_000
 COMPOSITION_CAP_ENV = "ERGOKIT_MAX_COMPOSITIONS"
 BRUTE_FORCE_CAP = 10_000_000
 DIAGONAL_TOL = 1e-10
+# complete_passivity_check: per-copy work above this times n is active
+ACTIVE_WORK_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 
 
-def composition_cap(cap: int | None = None) -> int:
-    """Enumeration cap: explicit argument, else the environment override,
-    else the built-in default."""
-    if cap is not None:
-        return int(cap)
+def composition_cap() -> int:
+    """Enumeration cap: the environment override, else the built-in
+    default."""
     env = os.environ.get(COMPOSITION_CAP_ENV)
     if env is None:
         return DEFAULT_COMPOSITION_CAP
@@ -112,16 +112,14 @@ def _validated_spectrum(spectrum, d: int) -> np.ndarray:
     return r
 
 
-def build_level_table(spectrum, battery: BatterySpec, n: int,
-                      cap: int | None = None) -> WeightedLevelTable:
+def build_level_table(spectrum, battery: BatterySpec, n: int) -> WeightedLevelTable:
     """One entry per composition of n into d parts."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     d = battery.dim
     r = _validated_spectrum(spectrum, d)
-    _check_cap(composition_count(n, d), composition_cap(cap),
-               "compositions exceed the cap",
-               f" (override with {COMPOSITION_CAP_ENV} or the cap argument)")
+    _check_cap(composition_count(n, d), composition_cap(),
+               "compositions exceed the cap", f" (override with {COMPOSITION_CAP_ENV})")
 
     K = _composition_matrix(n, d)
     zero = r == 0.0
@@ -246,17 +244,15 @@ def passive_energy_per_copy(table: WeightedLevelTable) -> float:
     return float(np.dot(mass, mean)) / n
 
 
-def brute_force_oracle(spectrum, battery: BatterySpec, n: int,
-                       cap: int = BRUTE_FORCE_CAP) -> float:
+def brute_force_oracle(spectrum, battery: BatterySpec, n: int) -> float:
     """Reference value by explicit d^n expansion: materialize every
     product probability and sum energy, sort, dot. Independent of the
     composition table and of the merge above."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     r = _validated_spectrum(spectrum, battery.dim)
-    _check_cap(battery.dim ** n, cap, "levels exceed the brute-force cap")
-    probs = np.sort(product_populations(r, n, cap=cap))[::-1]
-    energies = np.sort(product_energies(battery, n, cap=cap))
+    probs = np.sort(product_populations(r, n))[::-1]
+    energies = np.sort(product_energies(battery, n))
     return float(np.dot(probs, energies)) / n
 
 
@@ -279,8 +275,7 @@ class EnsembleCurve:
                 for n, e in self.passive_energy.items()}
 
 
-def curve(state: QuantumState, battery: BatterySpec, n_max: int,
-          cap: int | None = None, match_tol: float = 1e-10) -> EnsembleCurve:
+def curve(state: QuantumState, battery: BatterySpec, n_max: int) -> EnsembleCurve:
     """Passive energy per copy for n = 1..n_max, with the entropy-matched
     Gibbs energy as asymptote.
 
@@ -293,12 +288,11 @@ def curve(state: QuantumState, battery: BatterySpec, n_max: int,
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
     spectrum = state.spectrum_descending
     initial = energy(state, battery)
-    asymptote = match_entropy(battery, entropy_target(state, battery),
-                              tol=match_tol).gibbs_energy
+    asymptote = match_entropy(battery, entropy_target(state, battery)).gibbs_energy
     e: dict[int, float] = {}
     for n in range(1, n_max + 1):
         try:
-            table = build_level_table(spectrum, battery, n, cap=cap)
+            table = build_level_table(spectrum, battery, n)
         except CapExceededError as exc:
             partial = EnsembleCurve(passive_energy=e, asymptote=asymptote,
                                     initial_energy=initial)
@@ -322,9 +316,9 @@ class CompletePassivityReport:
 
 
 def complete_passivity_check(state: QuantumState, battery: BatterySpec,
-                             n_max: int, tol: float = 1e-9,
-                             cap: int | None = None) -> CompletePassivityReport:
-    """Check whether per-copy work stays below tol * n for all n <= n_max.
+                             n_max: int) -> CompletePassivityReport:
+    """Check whether per-copy work stays below ACTIVE_WORK_TOL * n for all
+    n <= n_max.
 
     Requires a state diagonal in the energy basis. The work is curve's,
     so a cap hit raises its CapExceededError with the partial curve. Also
@@ -340,8 +334,8 @@ def complete_passivity_check(state: QuantumState, battery: BatterySpec,
             f"state has off-diagonal weight {state.max_offdiagonal():.3e}; "
             "complete-passivity check needs a diagonal state")
 
-    work = curve(state, battery, n_max, cap=cap).work
-    first_active = next((n for n, w in work.items() if w > tol * n), None)
+    work = curve(state, battery, n_max).work
+    first_active = next((n for n, w in work.items() if w > ACTIVE_WORK_TOL * n), None)
 
     pops = state.diagonal_populations()
     positive = pops > 0.0
@@ -368,23 +362,21 @@ def complete_passivity_check(state: QuantumState, battery: BatterySpec,
     )
 
 
-def product_energies(battery: BatterySpec, n: int,
-                     cap: int = BRUTE_FORCE_CAP) -> np.ndarray:
+def product_energies(battery: BatterySpec, n: int) -> np.ndarray:
     """Diagonal of the sum Hamiltonian on the n-copy product basis."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    _check_cap(battery.dim ** n, cap, "levels exceed the cap")
+    _check_cap(battery.dim ** n, BRUTE_FORCE_CAP, "levels exceed the brute-force cap")
     energies = np.array([0.0])
     for _ in range(n):
         energies = np.add.outer(energies, battery.energies).ravel()
     return energies
 
 
-def product_populations(populations, n: int,
-                        cap: int = BRUTE_FORCE_CAP) -> np.ndarray:
+def product_populations(populations, n: int) -> np.ndarray:
     """Populations of the n-fold product of a diagonal state."""
     p = np.asarray(populations, dtype=float)
-    _check_cap(p.size ** n, cap, "levels exceed the cap")
+    _check_cap(p.size ** n, BRUTE_FORCE_CAP, "levels exceed the brute-force cap")
     out = np.array([1.0])
     for _ in range(n):
         out = np.multiply.outer(out, p).ravel()

@@ -93,17 +93,14 @@ def beta_cap(battery: BatterySpec) -> float:
     return math.log(1.0 / ZERO_ENTROPY_POP_TOL) / gap
 
 
-def match_entropy(battery: BatterySpec, target_entropy: float,
-                  tol: float = MATCH_TOL) -> GibbsMatch:
-    """Find beta >= 0 with |S(omega_beta) - target_entropy| <= tol.
+def match_entropy(battery: BatterySpec, target_entropy: float) -> GibbsMatch:
+    """Find beta >= 0 with |S(omega_beta) - target_entropy| <= MATCH_TOL.
 
     Bisection on the strictly monotone entropy map; the upper bracket is
     found by doubling. Targets at ln d give beta = 0; targets at or below
-    tol saturate at beta_cap (the beta = infinity stand-in) and are
-    flagged as such.
+    S(omega_beta_cap) saturate at beta_cap (the beta = infinity stand-in)
+    and are flagged as such.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
     d = battery.dim
     ln_d = math.log(d)
     if not (-RANGE_SLACK <= target_entropy <= ln_d + RANGE_SLACK):
@@ -125,8 +122,6 @@ def match_entropy(battery: BatterySpec, target_entropy: float,
     if target_entropy >= ln_d:
         return build(0.0)
     cap = beta_cap(battery)
-    if target_entropy <= tol:
-        return build(cap, saturated=True)
 
     lo = 0.0
     hi = 1.0
@@ -141,7 +136,7 @@ def match_entropy(battery: BatterySpec, target_entropy: float,
 
     # bisect the bracket down to float resolution: the entropy map is
     # exponentially flat at large beta, so stopping on the residual alone
-    # would leave beta orders of magnitude less precise than tol
+    # would leave beta orders of magnitude less precise than MATCH_TOL
     mid = 0.5 * (lo + hi)
     for _ in range(200):
         if mid == lo or mid == hi:
@@ -152,12 +147,12 @@ def match_entropy(battery: BatterySpec, target_entropy: float,
             hi = mid
         mid = 0.5 * (lo + hi)
     result = build(mid)
-    if abs(result.gibbs_entropy - target_entropy) <= tol:
+    if abs(result.gibbs_entropy - target_entropy) <= MATCH_TOL:
         return result
     raise NoConvergenceError(
         f"entropy bisection reached float resolution at beta={mid!r} with "
         f"|S - target| = {abs(result.gibbs_entropy - target_entropy):.3e} > "
-        f"tol={tol}")
+        f"tol={MATCH_TOL}")
 
 
 def entropy_target(state: QuantumState, battery: BatterySpec) -> float:
@@ -167,9 +162,8 @@ def entropy_target(state: QuantumState, battery: BatterySpec) -> float:
     return min(entropy(state), math.log(battery.dim))
 
 
-def thermodynamic_bound(state: QuantumState, battery: BatterySpec,
-                        tol: float = MATCH_TOL) -> float:
+def thermodynamic_bound(state: QuantumState, battery: BatterySpec) -> float:
     """tr(rho H) - tr(omega_betabar H): the free-energy upper bound on
     extractable work at the entropy-matched temperature."""
-    match = match_entropy(battery, entropy_target(state, battery), tol=tol)
+    match = match_entropy(battery, entropy_target(state, battery))
     return energy(state, battery) - match.gibbs_energy

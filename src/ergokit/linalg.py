@@ -26,12 +26,23 @@ def as_square_matrix(M) -> np.ndarray:
     return A
 
 
-def is_hermitian(M, tol: float = HERMITIAN_TOL) -> bool:
-    """True iff max_ij |M_ij - conj(M_ji)| <= tol."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+def is_hermitian(M) -> bool:
+    """True iff max_ij |M_ij - conj(M_ji)| <= HERMITIAN_TOL."""
     A = as_square_matrix(M)
-    return float(np.max(np.abs(A - A.conj().T))) <= tol
+    return float(np.max(np.abs(A - A.conj().T))) <= HERMITIAN_TOL
+
+
+def max_offdiagonal(A: np.ndarray) -> float:
+    """Largest off-diagonal magnitude; 0.0 for a 1 x 1 matrix."""
+    if A.shape[0] < 2:
+        return 0.0
+    mask = ~np.eye(A.shape[0], dtype=bool)
+    return float(np.max(np.abs(A[mask])))
+
+
+def unitarity_defect(U: np.ndarray) -> float:
+    """max_ij |(U^dag U - I)_ij|."""
+    return float(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,8 +53,7 @@ class HermitianEig:
     eigenvectors: np.ndarray
 
 
-def eig_hermitian(M, tol: float = HERMITIAN_TOL,
-                  max_sweeps: int = JACOBI_MAX_SWEEPS) -> HermitianEig:
+def eig_hermitian(M) -> HermitianEig:
     """Diagonalize a Hermitian matrix by cyclic complex Jacobi rotations.
 
     Each rotation zeroes one off-diagonal pair with a unitary plane
@@ -51,13 +61,13 @@ def eig_hermitian(M, tol: float = HERMITIAN_TOL,
     largest off-diagonal magnitude falls below the working threshold.
     Deterministic: identical input bits give identical output bits.
 
-    Raises NotHermitianError if the input fails is_hermitian(M, tol) and
-    NoConvergenceError if max_sweeps cyclic sweeps do not converge.
+    Raises NotHermitianError if the input fails is_hermitian and
+    NoConvergenceError if JACOBI_MAX_SWEEPS cyclic sweeps do not converge.
     """
     A = as_square_matrix(M)
-    if not is_hermitian(A, tol):
+    if not is_hermitian(A):
         raise NotHermitianError(
-            f"matrix deviates from Hermitian by more than tol={tol}")
+            f"matrix deviates from Hermitian by more than tol={HERMITIAN_TOL}")
     d = A.shape[0]
     if d == 1:
         return HermitianEig(np.array([A[0, 0].real]),
@@ -73,8 +83,8 @@ def eig_hermitian(M, tol: float = HERMITIAN_TOL,
     skip = 0.1 * stop
 
     converged = False
-    for _ in range(max_sweeps):
-        off = _max_offdiag(A)
+    for _ in range(JACOBI_MAX_SWEEPS):
+        off = max_offdiagonal(A)
         if off <= stop:
             converged = True
             break
@@ -108,25 +118,20 @@ def eig_hermitian(M, tol: float = HERMITIAN_TOL,
                 V[:, p] = v_p
                 V[:, q] = v_q
     else:
-        converged = _max_offdiag(A) <= stop
+        converged = max_offdiagonal(A) <= stop
     if not converged:
         raise NoConvergenceError(
-            f"Jacobi sweep budget ({max_sweeps}) exhausted; "
-            f"residual off-diagonal {_max_offdiag(A):.3e}")
+            f"Jacobi sweep budget ({JACOBI_MAX_SWEEPS}) exhausted; "
+            f"residual off-diagonal {max_offdiagonal(A):.3e}")
 
     w = np.diag(A).real.copy()
     order = np.argsort(w, kind="stable")
     return HermitianEig(w[order], V[:, order])
 
 
-def _max_offdiag(A: np.ndarray) -> float:
-    mask = ~np.eye(A.shape[0], dtype=bool)
-    return float(np.max(np.abs(A[mask])))
-
-
-def expm_hermitian_generator(A, t: float, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def expm_hermitian_generator(A, t: float) -> np.ndarray:
     """exp(-i t A) for Hermitian A, via Q diag(exp(-i t w)) Q^dag."""
-    eig = eig_hermitian(A, tol=tol)
+    eig = eig_hermitian(A)
     phases = np.exp(-1j * t * eig.eigenvalues)
     Q = eig.eigenvectors
     return (Q * phases) @ Q.conj().T

@@ -40,15 +40,22 @@ class ControlSchedule:
     segments: tuple[tuple[float, np.ndarray], ...]
 
     @classmethod
-    def from_pairs(cls, pairs, tol: float = linalg.HERMITIAN_TOL) -> "ControlSchedule":
+    def from_pairs(cls, pairs) -> "ControlSchedule":
         segments = []
         for i, (duration, control) in enumerate(pairs):
-            duration = float(duration)
-            if not duration > 0:
+            try:
+                duration = float(duration)
+            except (TypeError, ValueError):
                 raise ValidationError(
-                    f"segment {i}: duration must be > 0, got {duration!r}")
+                    f"segment {i}: duration must be a number, got {duration!r}"
+                ) from None
+            if not 0.0 < duration < np.inf:
+                raise ValidationError(
+                    f"segment {i}: duration must be finite and > 0, got {duration!r}")
             V = np.array(linalg.as_square_matrix(control))
-            if not linalg.is_hermitian(V, tol):
+            if not np.all(np.isfinite(V)):
+                raise ValidationError(f"segment {i}: control entries must be finite")
+            if not linalg.is_hermitian(V):
                 raise NotHermitianError(f"segment {i}: control is not Hermitian")
             V.flags.writeable = False
             segments.append((duration, V))
@@ -108,7 +115,7 @@ def apply_unitary(state: QuantumState, battery, U) -> ProtocolResult:
         raise DimensionMismatchError(
             f"dimensions disagree: state {state.dim}, battery {energies.size}, "
             f"unitary {U.shape[0]}")
-    defect = float(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))))
+    defect = linalg.unitarity_defect(U)
     if defect > UNITARY_TOL:
         raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds {UNITARY_TOL}")
     return _finish(state, energies, U)
@@ -123,13 +130,12 @@ def best_product_work(state: QuantumState, battery: BatterySpec, n: int) -> floa
     return n * ergotropy(state, battery)
 
 
-def entangling_advantage(state: QuantumState, battery: BatterySpec, n: int,
-                         cap: int | None = None) -> float:
+def entangling_advantage(state: QuantumState, battery: BatterySpec, n: int) -> float:
     """Excess of the best global n-copy extraction over the best product
     one: n * w_max(n) - n * w_max(1) >= 0. Needs only the n-copy table,
     not the curve up to n."""
     if n < 2:
         raise ValidationError(f"n must be >= 2, got {n}")
-    table = build_level_table(state.spectrum_descending, battery, n, cap=cap)
+    table = build_level_table(state.spectrum_descending, battery, n)
     work = energy(state, battery) - passive_energy_per_copy(table)
     return n * work - best_product_work(state, battery, n)

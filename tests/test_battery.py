@@ -89,10 +89,10 @@ class TestEnergy:
 
 class TestIsPassive:
     def test_demo_passive_arrangement(self, demo_battery, demo_passive_state):
-        assert is_passive(demo_passive_state, demo_battery, tol=1e-10)
+        assert is_passive(demo_passive_state, demo_battery)
 
     def test_demo_anti_arrangement(self, demo_battery, demo_anti_state):
-        assert not is_passive(demo_anti_state, demo_battery, tol=1e-10)
+        assert not is_passive(demo_anti_state, demo_battery)
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 2.0, 40.0])
     def test_gibbs_states_are_passive(self, demo_battery, beta):
@@ -102,7 +102,7 @@ class TestIsPassive:
     def test_coherences_break_passivity(self, demo_battery):
         rho = np.diag([0.6, 0.25, 0.15]).astype(complex)
         rho[0, 1] = rho[1, 0] = 0.05
-        assert not is_passive(QuantumState.full(rho), demo_battery, tol=1e-10)
+        assert not is_passive(QuantumState.full(rho), demo_battery)
 
 
 class TestPassiveState:
@@ -198,7 +198,7 @@ class TestInvariants:
             bat = random_battery(rng, d)
             state = random_diagonal_state(rng, d)
             zero_work = ergotropy(state, bat) <= 1e-9
-            assert zero_work == is_passive(state, bat, tol=1e-8)
+            assert zero_work == is_passive(state, bat)
 
     def test_brute_force_minimality_small_dims(self, demo_battery,
                                                demo_anti_state):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +286,31 @@ class TestSimulateCommand:
         assert cli.main(["simulate", qubit_file, sched]) == 2
         assert "Hermitian" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("duration, control_re, message", [
+        ('"abc"', "0.0", "duration must be a number"),
+        ("null", "0.0", "duration must be a number"),
+        ("[1]", "0.0", "duration must be a number"),
+        ("1e309", "0.0", "duration must be finite"),
+        ("1.0", "1e309", "control entries must be finite"),
+        ("1.0", "NaN", "control entries must be finite"),
+    ], ids=["text", "null", "list", "inf", "inf-control", "nan-control"])
+    def test_malformed_segment_exits_2(self, qubit_file, tmp_path, capsys,
+                                       duration, control_re, message):
+        # raw JSON text: 1e309 parses as inf, NaN as nan
+        sched = tmp_path / "bad.json"
+        sched.write_text(
+            f'[{{"duration": 0.5, "control": {{"re": [[0, 0], [0, 0]], '
+            f'"im": [[0, 0], [0, 0]]}}}}, '
+            f'{{"duration": {duration}, "control": {{"re": [[0, {control_re}], '
+            f'[{control_re}, 0]], "im": [[0, 0], [0, 0]]}}}}]')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["simulate", qubit_file, str(sched)]) == 2
+        err = capsys.readouterr().err
+        assert f"segment 1: {message}" in err
+        assert "Hermitian" not in err
+        assert "Traceback" not in err
+
     def test_dimension_mismatch_exits_3(self, qubit_file, tmp_path):
         sched = write_json(tmp_path / "wrong.json", [{
             "duration": 1.0,
@@ -374,8 +400,8 @@ class TestEntryPoints:
 
     def test_subcommand_help_documents_tol(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "ergokit", "curve", "--help"],
+            [sys.executable, "-m", "ergokit", "oracle", "--help"],
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "--tol" in proc.stdout
-        assert "1e-10" in proc.stdout
+        assert "1e-9" in proc.stdout

@@ -99,9 +99,10 @@ class TestBuildLevelTable:
         assert np.exp(t.log_mult).sum() == pytest.approx(float(d) ** n,
                                                          rel=1e-9)
 
-    def test_cap_exceeded(self, demo_battery):
+    def test_cap_exceeded(self, demo_battery, monkeypatch):
+        monkeypatch.setenv("ERGOKIT_MAX_COMPOSITIONS", "5")
         with pytest.raises(CapExceededError) as exc:
-            build_level_table(DEMO_SPECTRUM, demo_battery, 10, cap=5)
+            build_level_table(DEMO_SPECTRUM, demo_battery, 10)
         assert exc.value.required == composition_count(10, 3)
         assert exc.value.cap == 5
 
@@ -277,9 +278,11 @@ class TestCurve:
             assert c.passive_energy[n] == pytest.approx(MAXMIX_ENERGY, abs=1e-9)
             assert abs(c.work[n]) <= 1e-9
 
-    def test_cap_exceeded_carries_partial(self, demo_battery, demo_anti_state):
+    def test_cap_exceeded_carries_partial(self, demo_battery, demo_anti_state,
+                                          monkeypatch):
+        monkeypatch.setenv("ERGOKIT_MAX_COMPOSITIONS", str(composition_count(4, 3)))
         with pytest.raises(CapExceededError) as exc:
-            curve(demo_anti_state, demo_battery, 10, cap=composition_count(4, 3))
+            curve(demo_anti_state, demo_battery, 10)
         assert exc.value.largest_feasible_n == 4
         partial = exc.value.partial
         assert sorted(partial.passive_energy) == [1, 2, 3, 4]
@@ -307,8 +310,7 @@ class TestCompletePassivity:
 
     def test_demo_passive_state_activates_at_two(self, demo_battery,
                                                  demo_passive_state):
-        rep = complete_passivity_check(demo_passive_state, demo_battery,
-                                       n_max=4, tol=1e-9)
+        rep = complete_passivity_check(demo_passive_state, demo_battery, n_max=4)
         assert not rep.is_gibbs_like
         assert rep.first_active_n == 2
         assert rep.work[2] == pytest.approx(DEMO_PASSIVE_ENERGY - DEMO_E2,
@@ -338,10 +340,11 @@ class TestCompletePassivity:
             work = curve(state, bat, n_max).work
             assert complete_passivity_check(state, bat, n_max).work == work
 
-    def test_cap_exceeded_carries_partial(self, demo_battery, demo_anti_state):
+    def test_cap_exceeded_carries_partial(self, demo_battery, demo_anti_state,
+                                          monkeypatch):
+        monkeypatch.setenv("ERGOKIT_MAX_COMPOSITIONS", str(composition_count(4, 3)))
         with pytest.raises(CapExceededError) as exc:
-            complete_passivity_check(demo_anti_state, demo_battery, 10,
-                                     cap=composition_count(4, 3))
+            complete_passivity_check(demo_anti_state, demo_battery, 10)
         assert exc.value.largest_feasible_n == 4
         assert exc.value.partial.work == curve(demo_anti_state, demo_battery,
                                                4).work
@@ -356,6 +359,11 @@ class TestCompletePassivity:
         with pytest.raises(DimensionMismatchError):
             complete_passivity_check(demo_passive_state,
                                      BatterySpec(np.array([0.0, 1.0])), 3)
+
+    def test_one_level_state_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            complete_passivity_check(QuantumState.full([[1.0]]),
+                                     BatterySpec(np.array([0.0, 1.0])), 4)
 
     def test_requires_diagonal_state(self, demo_battery):
         rho = np.diag([0.6, 0.25, 0.15]).astype(complex)

@@ -82,7 +82,7 @@ class TestMatchEntropy:
         assert m.gibbs_energy == pytest.approx(MAXMIX_ENERGY, abs=1e-12)
 
     def test_demo_instance(self, demo_battery):
-        m = match_entropy(demo_battery, DEMO_ENTROPY, tol=1e-12)
+        m = match_entropy(demo_battery, DEMO_ENTROPY)
         assert abs(m.gibbs_entropy - DEMO_ENTROPY) <= 1e-12
         assert m.beta == pytest.approx(DEMO_BETA, abs=1e-8)
         assert m.gibbs_energy == pytest.approx(DEMO_GIBBS_ENERGY, abs=1e-10)
@@ -91,7 +91,8 @@ class TestMatchEntropy:
     def test_qubit_entropy_determines_spectrum(self):
         bat = BatterySpec(np.array([0.0, 1.0]))
         target = entropy(QuantumState.diagonal([0.7, 0.3]))
-        m = match_entropy(bat, target, tol=1e-13)
+        m = match_entropy(bat, target)
+        assert abs(m.gibbs_entropy - target) <= 1e-13
         np.testing.assert_allclose(m.populations, [0.7, 0.3], atol=1e-10)
         assert m.gibbs_energy == pytest.approx(0.3, abs=1e-10)
 
@@ -115,8 +116,20 @@ class TestMatchEntropy:
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 5.0, 17.3, 50.0])
     def test_round_trip(self, demo_battery, beta):
         target = gibbs_entropy(demo_battery, beta)
-        m = match_entropy(demo_battery, target, tol=1e-13)
+        m = match_entropy(demo_battery, target)
+        assert abs(m.gibbs_entropy - target) <= 1e-13
         assert m.beta == pytest.approx(beta, abs=1e-6)
+        assert not m.saturated
+
+    def test_tiny_target_above_the_cap_entropy_is_bisected(self):
+        # S(omega_50) ~ 8e-11 lies between S(omega_beta_cap) and MATCH_TOL
+        bat = BatterySpec(np.array([0.0, 0.579, 1.0]))
+        target = gibbs_entropy(bat, 50.0)
+        assert gibbs_entropy(bat, beta_cap(bat)) < target < 1e-10
+        m = match_entropy(bat, target)
+        assert m.beta == pytest.approx(50.0, abs=1e-6)
+        assert not m.saturated
+        assert match_entropy(bat, 0.0).saturated
 
 
 class TestMonotonicity:

@@ -38,18 +38,17 @@ def companion_eigenvalues(M):
 
 
 class TestIsHermitian:
-    def test_identity_tol_zero(self):
-        assert linalg.is_hermitian(np.eye(3), tol=0.0)
+    def test_identity_tol_zero(self, monkeypatch):
+        monkeypatch.setattr(linalg, "HERMITIAN_TOL", 0.0)
+        assert linalg.is_hermitian(np.eye(3))
 
-    def test_antihermitian_offdiagonal(self):
-        assert not linalg.is_hermitian([[0, 1j], [1j, 0]], tol=1e-12)
+    def test_antihermitian_offdiagonal(self, monkeypatch):
+        monkeypatch.setattr(linalg, "HERMITIAN_TOL", 1e-12)
+        assert not linalg.is_hermitian([[0, 1j], [1j, 0]])
 
-    def test_pauli_y_tol_zero(self):
-        assert linalg.is_hermitian([[0, 1j], [-1j, 0]], tol=0.0)
-
-    def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            linalg.is_hermitian(np.eye(2), tol=-1.0)
+    def test_pauli_y_tol_zero(self, monkeypatch):
+        monkeypatch.setattr(linalg, "HERMITIAN_TOL", 0.0)
+        assert linalg.is_hermitian([[0, 1j], [-1j, 0]])
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -105,9 +104,10 @@ class TestEigHermitian:
         with pytest.raises(NotHermitianError):
             linalg.eig_hermitian([[0, 1], [0, 0]])
 
-    def test_sweep_budget_exhaustion(self):
+    def test_sweep_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
         with pytest.raises(NoConvergenceError):
-            linalg.eig_hermitian([[0, 1], [1, 0]], max_sweeps=0)
+            linalg.eig_hermitian([[0, 1], [1, 0]])
 
     def test_degenerate_spectrum(self):
         # projector with a two-fold eigenvalue; any eigenspace basis is fine
@@ -116,6 +116,18 @@ class TestEigHermitian:
         np.testing.assert_allclose(eig.eigenvalues, [0.0, 1.0, 1.0], atol=1e-14)
         rec = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.conj().T
         np.testing.assert_allclose(rec, M, atol=1e-12)
+
+
+class TestDefects:
+    def test_max_offdiagonal(self):
+        assert linalg.max_offdiagonal(np.array([[1.0, -3j], [2.0, 5.0]])) == 3.0
+
+    def test_max_offdiagonal_of_1x1_is_zero(self):
+        assert linalg.max_offdiagonal(np.array([[7.0]])) == 0.0
+
+    def test_unitarity_defect(self):
+        assert linalg.unitarity_defect(np.array([[0, 1j], [1, 0]])) == 0.0
+        assert linalg.unitarity_defect(np.diag([1.0, 2.0])) == 3.0
 
 
 class TestExpm:
