@@ -17,9 +17,10 @@ The output JSON holds, per workload and end-to-end metric: the parent
 and change medians, the parent's interquartile range, the relative
 change of the medians and the number of pairs the change won (it is
 better in that pair, in the metric's direction from BENCHMARK.json),
-plus the operation and failure counts, the seeds, the order of each pair
-and the machine line perfbench prints. --trace-seed adds one traced run
-per side and workload with the per-layer metrics.
+plus the operation and failure counts, the seeds, the order of each pair,
+each run's pass count (peak_rss_mb grows with it, so a memory change is
+read against it) and the machine line perfbench prints. --trace-seed
+adds one traced run per side and workload with the per-layer metrics.
 
 Each metric also gets a verdict against its BENCHMARK.json bound (a
 fraction of the parent's median): worse_beyond_bound when the change's
@@ -33,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import statistics
 import subprocess
 import sys
@@ -57,9 +59,18 @@ def checkout(rev_or_dir: str, tmp: Path, name: str) -> Path:
     return dest
 
 
+def pass_count(stdout: str) -> int:
+    """N from run.py's summary line '<workload> seed <k>: N passes, ...'."""
+    match = re.search(r"^\S+ seed -?\d+: (\d+) passes,", stdout, re.MULTILINE)
+    if match is None:
+        raise RuntimeError(f"no pass count in perfbench output:\n{stdout}")
+    return int(match.group(1))
+
+
 def run_bench(tree: Path, workload: str, seed: int, seconds: float,
               trace: int) -> tuple[dict, dict]:
-    """One perfbench run; returns its result object and machine info."""
+    """One perfbench run; returns its result object, with the run's pass
+    count added as "passes", and machine info."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds),
@@ -71,7 +82,9 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float,
     lines = proc.stdout.strip().splitlines()
     machine = next((json.loads(line[len("machine "):]) for line in lines
                     if line.startswith("machine ")), {})
-    return json.loads(lines[-1]), machine
+    result = json.loads(lines[-1])
+    result["passes"] = pass_count(proc.stdout)
+    return result, machine
 
 
 def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
@@ -158,6 +171,7 @@ def main(argv=None) -> int:
                               for s in trees},
                 "failed": {s: sum(r[s]["failed"] for r in runs)
                            for s in trees},
+                "passes": {s: [r[s]["passes"] for r in runs] for s in trees},
                 "metrics": summarise(runs, spec["end_to_end"]),
             }
             if args.trace_seed is not None:

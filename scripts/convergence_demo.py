@@ -12,7 +12,7 @@ from pathlib import Path
 
 from ergokit import (best_product_work, curve, entangling_advantage,
                      ergotropy)
-from ergokit.cli import fmt, load_problem, write_curve_csv
+from ergokit.cli import fmt, load_problem, open_output, write_curve_csv
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_PROBLEM = REPO_ROOT / "demo" / "qutrit.json"
@@ -43,7 +43,8 @@ def main():
         e_n = result.passive_energy[n]
         print(f"{n:>4} {fmt(e_n):>22} {fmt(e_n - result.asymptote):>22}")
 
-    write_curve_csv(args.out, result)
+    with open_output(args.out) as fh:
+        write_curve_csv(fh, result)
     print(f"\nwrote {len(result.n_values)} rows to {args.out}")
 
     if args.n_max >= 2:

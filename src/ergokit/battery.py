@@ -80,7 +80,7 @@ class QuantumState:
         return cls(populations=p)
 
     @classmethod
-    def full(cls, matrix, check_spectrum: bool = True) -> "QuantumState":
+    def full(cls, matrix) -> "QuantumState":
         m = np.array(linalg.as_square_matrix(matrix))
         if not np.all(np.isfinite(m)):
             raise ValidationError("density matrix entries must be finite")
@@ -90,18 +90,13 @@ class QuantumState:
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(
                 f"density matrix trace must be 1 within {TRACE_TOL}; got {tr!r}")
-        if check_spectrum:
-            w = linalg.eig_hermitian(m).eigenvalues
-            if float(np.min(w)) < EIGENVALUE_FLOOR:
-                raise ValidationError(
-                    f"eigenvalue {np.min(w):.3e} below the roundoff floor "
-                    f"{EIGENVALUE_FLOOR}; not a density matrix")
+        w = linalg.eig_hermitian(m).eigenvalues
+        if float(np.min(w)) < EIGENVALUE_FLOOR:
+            raise ValidationError(
+                f"eigenvalue {np.min(w):.3e} below the roundoff floor "
+                f"{EIGENVALUE_FLOOR}; not a density matrix")
         m.flags.writeable = False
         return cls(matrix=m)
-
-    @property
-    def is_diagonal_form(self) -> bool:
-        return self.populations is not None
 
     @property
     def dim(self) -> int:

@@ -172,8 +172,17 @@ def cmd_ergotropy(args) -> int:
     return EXIT_OK
 
 
-def write_curve_csv(out_path: str, result) -> None:
-    """The curve as CSV, header n,e_n,w_n,asymptote,gap, one row per n."""
+def open_output(path: str):
+    """Open a text file for writing, or raise ValidationError naming it."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+def write_curve_csv(fh, result) -> None:
+    """The curve as CSV to a file from open_output, header
+    n,e_n,w_n,asymptote,gap, one row per n."""
     work = result.work
     lines = ["n,e_n,w_n,asymptote,gap"]
     for n in result.n_values:
@@ -181,10 +190,10 @@ def write_curve_csv(out_path: str, result) -> None:
         lines.append(",".join([str(n), fmt(e_n), fmt(work[n]),
                                fmt(result.asymptote), fmt(e_n - result.asymptote)]))
     try:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines) + "\n")
+        fh.flush()
     except OSError as exc:
-        raise ValidationError(f"{out_path}: {exc}") from exc
+        raise ValidationError(f"{fh.name}: {exc}") from exc
 
 
 def _curve_summary(result) -> str:
@@ -199,16 +208,17 @@ def _curve_summary(result) -> str:
 
 def cmd_curve(args) -> int:
     battery, state, _ = load_problem(args.problem)
-    try:
-        result = curve(state, battery, n_max=args.n_max)
-    except CapExceededError as exc:
-        write_curve_csv(args.out, exc.partial)
-        print(f"composition cap exceeded: {exc}", file=sys.stderr)
-        print(_curve_summary(exc.partial), file=sys.stderr)
-        return EXIT_CAP
-    write_curve_csv(args.out, result)
+    # an unwritable path fails before the work, not after it
+    with open_output(args.out) as fh:
+        try:
+            result = curve(state, battery, n_max=args.n_max)
+            status = EXIT_OK
+        except CapExceededError as exc:
+            print(f"composition cap exceeded: {exc}", file=sys.stderr)
+            result, status = exc.partial, EXIT_CAP
+        write_curve_csv(fh, result)
     print(_curve_summary(result), file=sys.stderr)
-    return EXIT_OK
+    return status
 
 
 def cmd_simulate(args) -> int:
@@ -299,10 +309,10 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (DimensionMismatchError, NoConvergenceError) as exc:
+    except NoConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValidationError, ErgokitError) as exc:
+    except ErgokitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

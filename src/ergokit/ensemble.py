@@ -375,6 +375,8 @@ def product_energies(battery: BatterySpec, n: int) -> np.ndarray:
 
 def product_populations(populations, n: int) -> np.ndarray:
     """Populations of the n-fold product of a diagonal state."""
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
     p = np.asarray(populations, dtype=float)
     _check_cap(p.size ** n, BRUTE_FORCE_CAP, "levels exceed the brute-force cap")
     out = np.array([1.0])

@@ -126,13 +126,10 @@ def match_entropy(battery: BatterySpec, target_entropy: float) -> GibbsMatch:
     lo = 0.0
     hi = 1.0
     while gibbs_entropy(battery, hi) > target_entropy:
-        hi *= 2.0
-        if hi >= cap:
-            if gibbs_entropy(battery, cap) > target_entropy:
-                # target below what is resolvable: treat as saturated
-                return build(cap, saturated=True)
-            hi = cap
-            break
+        if hi == cap:
+            # target below what is resolvable: treat as saturated
+            return build(cap, saturated=True)
+        hi = min(2.0 * hi, cap)
 
     # bisect the bracket down to float resolution: the entropy map is
     # exponentially flat at large beta, so stopping on the residual alone

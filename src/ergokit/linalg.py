@@ -41,8 +41,10 @@ def max_offdiagonal(A: np.ndarray) -> float:
 
 
 def unitarity_defect(U: np.ndarray) -> float:
-    """max_ij |(U^dag U - I)_ij|."""
-    return float(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))))
+    """max_ij |(U^dag U - I)_ij|; nan or inf, without a warning, when U
+    has a non-finite entry."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,24 +71,14 @@ def eig_hermitian(M) -> HermitianEig:
         raise NotHermitianError(
             f"matrix deviates from Hermitian by more than tol={HERMITIAN_TOL}")
     d = A.shape[0]
-    if d == 1:
-        return HermitianEig(np.array([A[0, 0].real]),
-                            np.eye(1, dtype=complex))
-
     # symmetrize roundoff-level asymmetry before iterating
     A = (A + A.conj().T) / 2.0
     V = np.eye(d, dtype=complex)
-    scale = float(np.max(np.abs(A)))
-    if scale == 0.0:
-        return HermitianEig(np.zeros(d), V)
-    stop = 1e-14 * scale
+    stop = 1e-14 * float(np.max(np.abs(A)))
     skip = 0.1 * stop
 
-    converged = False
     for _ in range(JACOBI_MAX_SWEEPS):
-        off = max_offdiagonal(A)
-        if off <= stop:
-            converged = True
+        if max_offdiagonal(A) <= stop:
             break
         for p in range(d - 1):
             for q in range(p + 1, d):
@@ -118,11 +110,10 @@ def eig_hermitian(M) -> HermitianEig:
                 V[:, p] = v_p
                 V[:, q] = v_q
     else:
-        converged = max_offdiagonal(A) <= stop
-    if not converged:
-        raise NoConvergenceError(
-            f"Jacobi sweep budget ({JACOBI_MAX_SWEEPS}) exhausted; "
-            f"residual off-diagonal {max_offdiagonal(A):.3e}")
+        if max_offdiagonal(A) > stop:
+            raise NoConvergenceError(
+                f"Jacobi sweep budget ({JACOBI_MAX_SWEEPS}) exhausted; "
+                f"residual off-diagonal {max_offdiagonal(A):.3e}")
 
     w = np.diag(A).real.copy()
     order = np.argsort(w, kind="stable")

@@ -74,14 +74,19 @@ class ProtocolResult:
 
 
 def _finish(state: QuantumState, energies: np.ndarray, U: np.ndarray) -> ProtocolResult:
-    if state.is_diagonal_form:
+    defect = linalg.unitarity_defect(U)
+    # written so that a nan defect (a non-finite entry) is rejected too
+    if not defect <= UNITARY_TOL:
+        raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds {UNITARY_TOL}")
+    if state.matrix is None:
         rho = np.diag(state.populations.astype(complex))
     else:
         rho = state.matrix
     rho_final = U @ rho @ U.conj().T
     rho_final = (rho_final + rho_final.conj().T) / 2.0
-    # unitary conjugation preserves the spectrum; skip the O(d^3) recheck
-    final_state = QuantumState.full(rho_final, check_spectrum=False)
+    rho_final.flags.writeable = False
+    # the unitary image of a validated state needs none of full()'s checks
+    final_state = QuantumState(matrix=rho_final)
     e_before = float(np.dot(state.diagonal_populations(), energies))
     e_after = float(np.dot(final_state.diagonal_populations(), energies))
     return ProtocolResult(final_state=final_state, total_unitary=U,
@@ -115,9 +120,6 @@ def apply_unitary(state: QuantumState, battery, U) -> ProtocolResult:
         raise DimensionMismatchError(
             f"dimensions disagree: state {state.dim}, battery {energies.size}, "
             f"unitary {U.shape[0]}")
-    defect = linalg.unitarity_defect(U)
-    if defect > UNITARY_TOL:
-        raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds {UNITARY_TOL}")
     return _finish(state, energies, U)
 
 

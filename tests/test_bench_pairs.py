@@ -57,3 +57,13 @@ def test_unresolved_needs_a_wide_parent_and_overlap(change, unresolved):
     out = bench_pairs.summarise(runs_of(parent, change), END_TO_END[:1])
     assert out["wall_s"]["parent_iqr"] == pytest.approx(0.5)
     assert out["wall_s"]["unresolved"] is unresolved
+
+
+def test_pass_count_reads_the_summary_line():
+    stdout = ("state_sweep seed 81: 17 passes, 8500 operations, 0 failed, "
+              "error_rate 0\n"
+              "  wall_s                                       1.12 s  (n=17)\n"
+              'machine {"nproc": 2}\n{"correct": true}\n')
+    assert bench_pairs.pass_count(stdout) == 17
+    with pytest.raises(RuntimeError, match="no pass count"):
+        bench_pairs.pass_count('{"correct": true}\n')

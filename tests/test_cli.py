@@ -233,6 +233,16 @@ class TestCurveCommand:
         assert str(out) in err
         assert "Traceback" not in err
 
+    def test_unwritable_out_fails_before_computing(self, demo_file, tmp_path,
+                                                   monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("curve computed before the output was opened")
+        monkeypatch.setattr(cli, "curve", fail)
+        out = tmp_path / "missing_dir" / "x.csv"
+        assert cli.main(["curve", demo_file, "--n-max", "3",
+                         "--out", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
+
     def test_convergence_demo_writes_the_same_csv(self, tmp_path):
         cli_csv, script_csv = tmp_path / "cli.csv", tmp_path / "script.csv"
         demo = str(REPO_ROOT / "demo" / "qutrit.json")
@@ -311,12 +321,13 @@ class TestSimulateCommand:
         assert "Hermitian" not in err
         assert "Traceback" not in err
 
-    def test_dimension_mismatch_exits_3(self, qubit_file, tmp_path):
+    def test_dimension_mismatch_exits_2(self, qubit_file, tmp_path):
+        # a validation error like any other, not a numerical failure
         sched = write_json(tmp_path / "wrong.json", [{
             "duration": 1.0,
             "control": {"re": [[0.0] * 3] * 3, "im": [[0.0] * 3] * 3},
         }])
-        assert cli.main(["simulate", qubit_file, sched]) == 3
+        assert cli.main(["simulate", qubit_file, sched]) == 2
 
     def test_random_schedule_never_beats_ergotropy(self, demo_file, tmp_path,
                                                    capsys):

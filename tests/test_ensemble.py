@@ -386,6 +386,12 @@ class TestProductHelpers:
         p = product_populations([0.7, 0.3], 2)
         np.testing.assert_allclose(p, [0.49, 0.21, 0.21, 0.09], atol=1e-15)
 
+    def test_zero_copies_rejected(self):
+        with pytest.raises(ValidationError):
+            product_energies(BatterySpec(np.array([0.0, 1.0])), 0)
+        with pytest.raises(ValidationError):
+            product_populations([0.7, 0.3], 0)
+
     def test_caps(self):
         bat = BatterySpec(np.arange(10.0))
         with pytest.raises(CapExceededError):

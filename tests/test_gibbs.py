@@ -10,7 +10,8 @@ from conftest import (DEMO_BETA, DEMO_ENTROPY, DEMO_GIBBS_ENERGY,
                       random_diagonal_state)
 from ergokit import (BatterySpec, QuantumState, energy, ergotropy, gibbs_state,
                      match_entropy, passive_state, thermodynamic_bound)
-from ergokit.gibbs import beta_cap, entropy, gibbs_energy, gibbs_entropy
+from ergokit.gibbs import (MATCH_TOL, beta_cap, entropy, gibbs_energy,
+                           gibbs_entropy)
 from ergokit.errors import TargetOutOfRangeError
 
 
@@ -130,6 +131,20 @@ class TestMatchEntropy:
         assert m.beta == pytest.approx(50.0, abs=1e-6)
         assert not m.saturated
         assert match_entropy(bat, 0.0).saturated
+
+    def test_wide_first_gap_puts_beta_cap_below_one(self):
+        # a first gap above ln 1e15 ~ 34.54 starts the doubling at the cap
+        bat = BatterySpec(np.array([0.0, 50.0, 60.0]))
+        cap = beta_cap(bat)
+        assert cap < 1.0
+        m = match_entropy(bat, 0.0)
+        assert m.saturated
+        assert m.beta == cap
+        target = gibbs_entropy(bat, 0.1)
+        m = match_entropy(bat, target)
+        assert abs(m.gibbs_entropy - target) <= MATCH_TOL
+        assert m.beta == pytest.approx(0.1, abs=1e-6)
+        assert not m.saturated
 
 
 class TestMonotonicity:

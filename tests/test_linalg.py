@@ -109,6 +109,23 @@ class TestEigHermitian:
         with pytest.raises(NoConvergenceError):
             linalg.eig_hermitian([[0, 1], [1, 0]])
 
+    @pytest.mark.parametrize("value", [2.5, -1.0, 3 + 0j])
+    def test_one_by_one(self, value):
+        eig = linalg.eig_hermitian([[value]])
+        assert eig.eigenvalues.dtype == float
+        assert eig.eigenvalues.tolist() == [complex(value).real]
+        assert eig.eigenvectors.dtype == complex
+        assert np.array_equal(eig.eigenvectors, np.eye(1))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_zero_matrix(self, d):
+        eig = linalg.eig_hermitian(np.zeros((d, d)))
+        assert eig.eigenvalues.dtype == float
+        assert np.array_equal(eig.eigenvalues, np.zeros(d))
+        assert not np.any(np.signbit(eig.eigenvalues))
+        assert eig.eigenvectors.dtype == complex
+        assert np.array_equal(eig.eigenvectors, np.eye(d))
+
     def test_degenerate_spectrum(self):
         # projector with a two-fold eigenvalue; any eigenspace basis is fine
         M = np.diag([1.0, 1.0, 0.0])

@@ -135,6 +135,14 @@ class TestApplyUnitary:
         with pytest.raises(NotUnitaryError):
             apply_unitary(demo_anti_state, demo_battery, np.eye(3) * 1.01)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_rejects_non_finite_unitary(self, demo_battery, demo_anti_state,
+                                        entry):
+        U = np.eye(3, dtype=complex)
+        U[0, 1] = entry
+        with pytest.raises(NotUnitaryError):
+            apply_unitary(demo_anti_state, demo_battery, U)
+
     def test_random_unitaries_respect_ergotropy(self):
         rng = np.random.default_rng(66)
         for _ in range(100):
@@ -143,6 +151,36 @@ class TestApplyUnitary:
             state = random_density_matrix(rng, d)
             res = apply_unitary(state, bat, random_unitary(rng, d))
             assert res.work <= ergotropy(state, bat) + 1e-8
+
+
+class TestFinalState:
+    """The final state is the unitary image of the input, built without
+    full()'s checks: read-only, with the input's spectrum."""
+
+    def check(self, state, res):
+        assert not res.final_state.matrix.flags.writeable
+        np.testing.assert_allclose(res.final_state.spectrum_descending,
+                                   state.spectrum_descending, rtol=0,
+                                   atol=1e-12)
+
+    def test_apply_unitary(self):
+        rng = np.random.default_rng(67)
+        for d in (2, 3, 5):
+            bat = random_battery(rng, d)
+            for state in (random_diagonal_state(rng, d),
+                          random_density_matrix(rng, d)):
+                self.check(state,
+                           apply_unitary(state, bat, random_unitary(rng, d)))
+
+    def test_evolve(self):
+        rng = np.random.default_rng(68)
+        for d in (2, 3, 5):
+            bat = random_battery(rng, d)
+            G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            sched = ControlSchedule.from_pairs([(0.7, (G + G.conj().T) / 2)])
+            for state in (random_diagonal_state(rng, d),
+                          random_density_matrix(rng, d)):
+                self.check(state, evolve(state, bat, sched))
 
 
 class TestProductVsEntangling:
