@@ -1,0 +1,170 @@
+#!/usr/bin/env python3
+"""Digest of ergokit's outputs, one line per record, for comparing two
+checkouts bit for bit.
+
+    python scripts/output_digest.py [--src DIR] > digest.txt
+    diff <(python scripts/output_digest.py --src OLD) \\
+         <(python scripts/output_digest.py)
+
+Each line is `name value`: a float as float.hex, an int or bool as
+itself, an array or a text as a short hash of its exact bytes. The
+records cover the two demo problems and 200 seeded random states
+(diagonal with tied, zero and roundoff-negative populations, and full,
+d = 2..16): energy, spectrum, passive state, entropy-matched bound,
+optimal unitary, the curve to n = 4 or 3, the n = 2 entangling
+advantage, the complete-passivity report (diagonal states), evolve and
+apply_unitary; and the ergotropy, curve, simulate and oracle subcommands on the demo
+files, their exit codes, stdout, stderr and CSV. One simulate run has a
+segment whose phase overflows the float range.
+
+--src DIR imports ergokit from DIR/src, so the same script digests
+another checkout. It reads states only through diagonal_populations(),
+spectrum_descending and .matrix of a protocol result, so it runs on
+checkouts from before QuantumState became a single matrix field too.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+STATES = 200
+SEED = 20261018
+
+
+def digest(x) -> str:
+    if isinstance(x, (bool, int, np.bool_, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return float(x).hex()
+    if isinstance(x, str):
+        data = x.encode()
+    else:
+        a = np.asarray(x)
+        data = a.tobytes() + f"{a.dtype.str}{a.shape}".encode()
+    return hashlib.blake2b(data, digest_size=8).hexdigest()
+
+
+def emit(name: str, x) -> None:
+    print(f"{name} {digest(x)}")
+
+
+def random_problem(ek, rng, k):
+    """Battery and state k: d cycles through 2..16, even k diagonal."""
+    d = 2 + k % 15
+    energies = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, d - 1))])
+    if k % 2 == 0:
+        counts = rng.integers(0, 4, d) if k % 4 == 0 else rng.uniform(0, 1, d)
+        counts[0] += counts.sum() == 0
+        p = counts / counts.sum()
+        if k % 20 == 10:
+            # a population inside the roundoff floor, clamped to zero
+            p[0], p[-1] = p[0] + p[-1] + 5e-13, -5e-13
+        state = ek.QuantumState.diagonal(p)
+    else:
+        G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = G @ G.conj().T
+        state = ek.QuantumState.full(rho / np.trace(rho).real)
+    return ek.BatterySpec(energies), state
+
+
+def random_schedule(ek, rng, d):
+    G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return ek.ControlSchedule.from_pairs([(float(rng.uniform(0.2, 1.5)),
+                                          (G + G.conj().T) / 2)])
+
+
+def library_records(ek, name, battery, state, rng):
+    emit(f"{name}.energy", ek.energy(state, battery))
+    emit(f"{name}.populations", state.diagonal_populations())
+    emit(f"{name}.spectrum", state.spectrum_descending)
+    emit(f"{name}.is_passive", ek.is_passive(state, battery))
+    report = ek.passive_state(state, battery)
+    emit(f"{name}.passive_energy", report.passive_energy)
+    emit(f"{name}.ergotropy", report.ergotropy)
+    emit(f"{name}.passive_populations", report.passive_populations)
+    emit(f"{name}.bound", ek.thermodynamic_bound(state, battery))
+    U = ek.optimal_unitary(state, battery)
+    emit(f"{name}.optimal_unitary", U)
+    n_max = 4 if battery.dim <= 10 else 3
+    result = ek.curve(state, battery, n_max)
+    emit(f"{name}.curve.e", [result.passive_energy[n] for n in result.n_values])
+    emit(f"{name}.curve.work", [result.work[n] for n in result.n_values])
+    emit(f"{name}.curve.asymptote", result.asymptote)
+    emit(f"{name}.advantage2", ek.entangling_advantage(state, battery, 2))
+    if state.max_offdiagonal() == 0.0:
+        cp = ek.complete_passivity_check(state, battery, 3)
+        emit(f"{name}.passivity.gibbs_like", cp.is_gibbs_like)
+        emit(f"{name}.passivity.first_active_n", cp.first_active_n or 0)
+        emit(f"{name}.passivity.fit", [cp.fit_beta, cp.fit_residual])
+    for label, res in (("apply", ek.apply_unitary(state, battery, U)),
+                       ("evolve", ek.evolve(state, battery,
+                                            random_schedule(ek, rng, battery.dim)))):
+        emit(f"{name}.{label}.work", res.work)
+        emit(f"{name}.{label}.unitary", res.total_unitary)
+        emit(f"{name}.{label}.final", res.final_state.matrix)
+    emit(f"{name}.evolve.final_spectrum", res.final_state.spectrum_descending)
+
+
+def run_cli(cli, name, argv, csv_path=None):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    emit(f"{name}.exit", code)
+    emit(f"{name}.stdout", out.getvalue())
+    emit(f"{name}.stderr", err.getvalue())
+    if csv_path is not None:
+        emit(f"{name}.csv", Path(csv_path).read_text())
+
+
+def cli_records(cli, tmp: Path):
+    qubit, qutrit, swap = (str(REPO_ROOT / "demo" / f"{name}.json") for name
+                           in ("qubit", "qutrit", "qubit_swap_schedule"))
+    overflow = tmp / "overflow.json"
+    overflow.write_text(json.dumps([{"duration": 1e308, "control": {
+        "re": [[0.0, 0.0], [0.0, 5.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}}]))
+    for demo, path in (("qubit", qubit), ("qutrit", qutrit)):
+        run_cli(cli, f"cli.{demo}.ergotropy", ["ergotropy", path])
+        run_cli(cli, f"cli.{demo}.ergotropy_json", ["ergotropy", path, "--json"])
+        csv = tmp / f"{demo}.csv"
+        run_cli(cli, f"cli.{demo}.curve", ["curve", path, "--n-max", "20",
+                                           "--out", str(csv)], csv)
+        run_cli(cli, f"cli.{demo}.oracle", ["oracle", path, "--n", "5"])
+    run_cli(cli, "cli.qubit.simulate", ["simulate", qubit, swap])
+    run_cli(cli, "cli.qubit.simulate_overflow", ["simulate", qubit, str(overflow)])
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(REPO_ROOT),
+                        help="checkout whose src/ergokit is digested "
+                             "(default: this one)")
+    args = parser.parse_args()
+    sys.path.insert(0, str(Path(args.src).resolve() / "src"))
+    import ergokit as ek
+    from ergokit import cli
+
+    # numpy warnings go to stderr, where run_cli records them each time
+    warnings.simplefilter("always")
+    for demo in ("qubit", "qutrit"):
+        battery, state, _ = cli.load_problem(str(REPO_ROOT / "demo" / f"{demo}.json"))
+        library_records(ek, f"demo.{demo}", battery, state,
+                        np.random.default_rng(SEED))
+    rng = np.random.default_rng(SEED)
+    for k in range(STATES):
+        battery, state = random_problem(ek, rng, k)
+        library_records(ek, f"state[{k:03d}].d{battery.dim}", battery, state, rng)
+    with tempfile.TemporaryDirectory() as tmp:
+        cli_records(cli, Path(tmp))
+
+
+if __name__ == "__main__":
+    main()

@@ -1,8 +1,8 @@
 """Battery model, passivity, passive states, and single-copy ergotropy.
 
 Conventions: hbar = k_B = 1. A battery is a finite d-level system with a
-non-degenerate Hamiltonian; states are density matrices, given either as
-populations in the energy eigenbasis or as a full complex matrix.
+non-degenerate Hamiltonian; a state is its complex density matrix in the
+energy eigenbasis, built from populations or from a full matrix.
 """
 
 from __future__ import annotations
@@ -51,16 +51,16 @@ class BatterySpec:
 
 @dataclass(frozen=True, eq=False)
 class QuantumState:
-    """Density matrix, diagonal (populations) or full (complex Hermitian).
+    """Density matrix in the energy eigenbasis, stored read-only.
 
-    Construct via QuantumState.diagonal or QuantumState.full; both
-    validate trace, Hermiticity, and spectral positivity. Eigenvalues in
-    [-1e-12, 0) are treated as roundoff: clamped to zero with the given
-    trace preserved. Anything more negative is rejected.
+    Construct via QuantumState.diagonal (populations, stored as diag(p))
+    or QuantumState.full; both validate trace, Hermiticity, and spectral
+    positivity. Eigenvalues in [-1e-12, 0) are treated as roundoff:
+    clamped to zero with the given trace preserved. Anything more
+    negative is rejected.
     """
 
-    populations: np.ndarray | None = None
-    matrix: np.ndarray | None = None
+    matrix: np.ndarray
 
     @classmethod
     def diagonal(cls, populations) -> "QuantumState":
@@ -76,8 +76,9 @@ class QuantumState:
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(
                 f"populations must sum to 1 within {TRACE_TOL}; got sum {tr!r}")
-        p.flags.writeable = False
-        return cls(populations=p)
+        m = np.diag(p.astype(complex))
+        m.flags.writeable = False
+        return cls(matrix=m)
 
     @classmethod
     def full(cls, matrix) -> "QuantumState":
@@ -100,30 +101,21 @@ class QuantumState:
 
     @property
     def dim(self) -> int:
-        if self.populations is not None:
-            return self.populations.size
         return self.matrix.shape[0]
 
     def diagonal_populations(self) -> np.ndarray:
         """Diagonal of rho in the energy eigenbasis (real part)."""
-        if self.populations is not None:
-            return self.populations
         return np.diag(self.matrix).real
 
     def max_offdiagonal(self) -> float:
         """Largest off-diagonal magnitude in the energy eigenbasis."""
-        if self.populations is not None:
-            return 0.0
         return linalg.max_offdiagonal(self.matrix)
 
     @cached_property
     def spectrum_descending(self) -> np.ndarray:
         """Eigenvalues sorted descending, with roundoff negatives clamped
         to zero and the spectrum rescaled to preserve the given trace."""
-        if self.populations is not None:
-            w = np.array(self.populations, dtype=float)
-        else:
-            w = linalg.eig_hermitian(self.matrix).eigenvalues
+        w = linalg.eig_hermitian(self.matrix).eigenvalues
         if float(np.min(w)) < EIGENVALUE_FLOOR:
             raise ValidationError(
                 f"eigenvalue {np.min(w):.3e} below the roundoff floor {EIGENVALUE_FLOOR}")
@@ -133,21 +125,6 @@ class QuantumState:
         w = np.sort(w, kind="stable")[::-1]
         w.flags.writeable = False
         return w
-
-    def eigensystem_descending(self) -> tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues, eigenvector columns) in descending eigenvalue order.
-
-        Stable order: among exact ties the original ascending sort order
-        is preserved, so the result is deterministic.
-        """
-        if self.populations is not None:
-            w = np.array(self.populations, dtype=float)
-            Q = np.eye(self.dim, dtype=complex)
-        else:
-            eig = linalg.eig_hermitian(self.matrix)
-            w, Q = eig.eigenvalues, eig.eigenvectors
-        order = np.argsort(-w, kind="stable")
-        return w[order], Q[:, order]
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,11 +180,13 @@ def optimal_unitary(state: QuantumState, battery: BatterySpec) -> np.ndarray:
     Built as U = sum_j |j><psi_j| where psi_j is the eigenvector of rho
     for the j-th largest eigenvalue. Under spectral ties any orthonormal
     choice gives the same passive energy; the stable eigenvalue sort
-    fixes one deterministically.
+    fixes one deterministically: exact ties keep the order in which
+    eig_hermitian returns them (level order for a diagonal state).
     """
     _check_dims(state, battery)
-    _, Q = state.eigensystem_descending()
-    return Q.conj().T
+    eig = linalg.eig_hermitian(state.matrix)
+    order = np.argsort(-eig.eigenvalues, kind="stable")
+    return eig.eigenvectors[:, order].conj().T
 
 
 def ergotropy(state: QuantumState, battery: BatterySpec) -> float:

@@ -362,24 +362,23 @@ def complete_passivity_check(state: QuantumState, battery: BatterySpec,
     )
 
 
-def product_energies(battery: BatterySpec, n: int) -> np.ndarray:
-    """Diagonal of the sum Hamiltonian on the n-copy product basis."""
+def _product_expansion(factor: np.ndarray, n: int, ufunc, unit: float) -> np.ndarray:
+    """factor combined with itself n times by ufunc.outer, flattened."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    _check_cap(battery.dim ** n, BRUTE_FORCE_CAP, "levels exceed the brute-force cap")
-    energies = np.array([0.0])
+    _check_cap(factor.size ** n, BRUTE_FORCE_CAP, "levels exceed the brute-force cap")
+    out = np.array([unit])
     for _ in range(n):
-        energies = np.add.outer(energies, battery.energies).ravel()
-    return energies
+        out = ufunc.outer(out, factor).ravel()
+    return out
+
+
+def product_energies(battery: BatterySpec, n: int) -> np.ndarray:
+    """Diagonal of the sum Hamiltonian on the n-copy product basis."""
+    return _product_expansion(battery.energies, n, np.add, 0.0)
 
 
 def product_populations(populations, n: int) -> np.ndarray:
     """Populations of the n-fold product of a diagonal state."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    p = np.asarray(populations, dtype=float)
-    _check_cap(p.size ** n, BRUTE_FORCE_CAP, "levels exceed the brute-force cap")
-    out = np.array([1.0])
-    for _ in range(n):
-        out = np.multiply.outer(out, p).ravel()
-    return out
+    return _product_expansion(np.asarray(populations, dtype=float), n,
+                              np.multiply, 1.0)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NoConvergenceError, NotHermitianError
+from .errors import (DimensionMismatchError, NoConvergenceError, NotHermitianError,
+                     ValidationError)
 
 HERMITIAN_TOL = 1e-10
 JACOBI_MAX_SWEEPS = 100
@@ -121,9 +122,15 @@ def eig_hermitian(M) -> HermitianEig:
 
 
 def expm_hermitian_generator(A, t: float) -> np.ndarray:
-    """exp(-i t A) for Hermitian A, via Q diag(exp(-i t w)) Q^dag."""
+    """exp(-i t A) for Hermitian A, via Q diag(exp(-i t w)) Q^dag.
+
+    Raises ValidationError if some t * w overflows the float range."""
     eig = eig_hermitian(A)
-    phases = np.exp(-1j * t * eig.eigenvalues)
+    with np.errstate(over="ignore"):
+        tw = t * eig.eigenvalues
+    if not np.all(np.isfinite(tw)):
+        raise ValidationError(f"t={t!r} times an eigenvalue overflows")
+    phases = np.exp(-1j * tw)
     Q = eig.eigenvectors
     return (Q * phases) @ Q.conj().T
 

@@ -71,6 +71,7 @@ class ProtocolResult:
     final_state: QuantumState
     total_unitary: np.ndarray
     work: float
+    unitarity_defect: float
 
 
 def _finish(state: QuantumState, energies: np.ndarray, U: np.ndarray) -> ProtocolResult:
@@ -78,11 +79,7 @@ def _finish(state: QuantumState, energies: np.ndarray, U: np.ndarray) -> Protoco
     # written so that a nan defect (a non-finite entry) is rejected too
     if not defect <= UNITARY_TOL:
         raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds {UNITARY_TOL}")
-    if state.matrix is None:
-        rho = np.diag(state.populations.astype(complex))
-    else:
-        rho = state.matrix
-    rho_final = U @ rho @ U.conj().T
+    rho_final = U @ state.matrix @ U.conj().T
     rho_final = (rho_final + rho_final.conj().T) / 2.0
     rho_final.flags.writeable = False
     # the unitary image of a validated state needs none of full()'s checks
@@ -90,7 +87,7 @@ def _finish(state: QuantumState, energies: np.ndarray, U: np.ndarray) -> Protoco
     e_before = float(np.dot(state.diagonal_populations(), energies))
     e_after = float(np.dot(final_state.diagonal_populations(), energies))
     return ProtocolResult(final_state=final_state, total_unitary=U,
-                          work=e_before - e_after)
+                          work=e_before - e_after, unitarity_defect=defect)
 
 
 def evolve(state: QuantumState, battery, schedule: ControlSchedule) -> ProtocolResult:
@@ -103,11 +100,14 @@ def evolve(state: QuantumState, battery, schedule: ControlSchedule) -> ProtocolR
             f"state dimension {state.dim} != battery dimension {d}")
     H = np.diag(energies.astype(complex))
     U = np.eye(d, dtype=complex)
-    for dt, V in schedule.segments:
+    for i, (dt, V) in enumerate(schedule.segments):
         if V.shape[0] != d:
             raise DimensionMismatchError(
-                f"control dimension {V.shape[0]} != battery dimension {d}")
-        U = linalg.expm_hermitian_generator(H + V, dt) @ U
+                f"segment {i}: control dimension {V.shape[0]} != battery dimension {d}")
+        try:
+            U = linalg.expm_hermitian_generator(H + V, dt) @ U
+        except ValidationError as exc:
+            raise ValidationError(f"segment {i}: {exc}") from None
     return _finish(state, energies, U)
 
 

@@ -184,7 +184,8 @@ def test_criterion_6_ergotropy_ceiling():
         state = random_diagonal_state(rng, d)
         w_n = curve(state, bat, n).work[n]
         energies = product_energies(bat, n)
-        big = QuantumState.diagonal(product_populations(state.populations, n))
+        big = QuantumState.diagonal(
+            product_populations(state.diagonal_populations(), n))
         for _ in range(50):
             res = apply_unitary(big, energies, random_unitary(rng, d ** n))
             unitaries_ok = unitaries_ok and res.work <= n * w_n + 1e-8

@@ -6,8 +6,9 @@ from conftest import (DEMO_ERGOTROPY, DEMO_INITIAL_ENERGY, DEMO_PASSIVE_ENERGY,
                       DEMO_SPECTRUM, MAXMIX_ENERGY, random_battery,
                       random_density_matrix, random_diagonal_state,
                       random_unitary)
-from ergokit import (BatterySpec, QuantumState, energy, ergotropy, is_passive,
-                     optimal_unitary, passive_state)
+from ergokit import (BatterySpec, QuantumState, curve, energy,
+                     entangling_advantage, ergotropy, is_passive, optimal_unitary,
+                     passive_state, thermodynamic_bound)
 from ergokit.errors import (DimensionMismatchError, NotHermitianError,
                             ValidationError)
 
@@ -59,6 +60,37 @@ class TestQuantumState:
     def test_full_negative_eigenvalue_rejected(self):
         with pytest.raises(ValidationError):
             QuantumState.full(np.diag([1.5, -0.5]))
+
+    def test_diagonal_stores_read_only_matrix(self):
+        p = np.array([0.5, 0.0, 0.3, 0.2])
+        state = QuantumState.diagonal(p)
+        assert state.dim == 4
+        assert not state.matrix.flags.writeable
+        assert state.matrix.dtype == complex
+        np.testing.assert_array_equal(state.matrix, np.diag(p))
+        np.testing.assert_array_equal(state.diagonal_populations(), p)
+        assert state.max_offdiagonal() == 0.0
+
+    def test_both_constructors_give_identical_bits(self):
+        # ties and zeros from integer counts, generic values from Dirichlet
+        rng = np.random.default_rng(31)
+        for k in range(240):
+            d = 2 + k % 5
+            if k % 2:
+                c = rng.integers(0, 4, d).astype(float)
+                c[0] += c.sum() == 0
+                p = c / c.sum()
+            else:
+                p = rng.dirichlet(np.ones(d))
+            bat = random_battery(rng, d)
+            diag, full = QuantumState.diagonal(p), QuantumState.full(np.diag(p))
+            for f in (energy, ergotropy, thermodynamic_bound):
+                assert f(diag, bat) == f(full, bat), (f.__name__, p)
+            np.testing.assert_array_equal(optimal_unitary(diag, bat),
+                                          optimal_unitary(full, bat))
+            assert curve(diag, bat, 4).work == curve(full, bat, 4).work, p
+            assert (entangling_advantage(diag, bat, 2)
+                    == entangling_advantage(full, bat, 2)), p
 
     def test_full_spectrum_matches_construction(self):
         rng = np.random.default_rng(21)
@@ -145,6 +177,12 @@ class TestOptimalUnitary:
         assert e_after == pytest.approx(0.8 * 0.2 + 0.2 * 1.4, abs=1e-12)
         work = energy(state, bat) - e_after
         assert work == pytest.approx(0.6 * (1.4 - 0.2), abs=1e-12)
+
+    def test_ties_keep_their_order(self):
+        # stable sort: the tied 0.25s stay in level order
+        bat = BatterySpec(np.array([0.0, 1.0, 2.0]))
+        U = optimal_unitary(QuantumState.diagonal([0.25, 0.5, 0.25]), bat)
+        np.testing.assert_array_equal(U, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
 
     def test_rotates_to_passive(self, demo_battery):
         rng = np.random.default_rng(9)

@@ -303,7 +303,9 @@ class TestSimulateCommand:
         ("1e309", "0.0", "duration must be finite"),
         ("1.0", "1e309", "control entries must be finite"),
         ("1.0", "NaN", "control entries must be finite"),
-    ], ids=["text", "null", "list", "inf", "inf-control", "nan-control"])
+        ("1e308", "5.0", "t=1e+308 times an eigenvalue overflows"),
+    ], ids=["text", "null", "list", "inf", "inf-control", "nan-control",
+            "phase-overflow"])
     def test_malformed_segment_exits_2(self, qubit_file, tmp_path, capsys,
                                        duration, control_re, message):
         # raw JSON text: 1e309 parses as inf, NaN as nan
@@ -321,13 +323,14 @@ class TestSimulateCommand:
         assert "Hermitian" not in err
         assert "Traceback" not in err
 
-    def test_dimension_mismatch_exits_2(self, qubit_file, tmp_path):
+    def test_dimension_mismatch_exits_2(self, qubit_file, tmp_path, capsys):
         # a validation error like any other, not a numerical failure
         sched = write_json(tmp_path / "wrong.json", [{
             "duration": 1.0,
             "control": {"re": [[0.0] * 3] * 3, "im": [[0.0] * 3] * 3},
         }])
         assert cli.main(["simulate", qubit_file, sched]) == 2
+        assert "segment 0: control dimension 3" in capsys.readouterr().err
 
     def test_random_schedule_never_beats_ergotropy(self, demo_file, tmp_path,
                                                    capsys):

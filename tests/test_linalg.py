@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from ergokit import linalg
 from ergokit.errors import (DimensionMismatchError, NoConvergenceError,
-                            NotHermitianError)
+                            NotHermitianError, ValidationError)
 
 
 def random_hermitian(rng, d, scale=1.0):
@@ -160,6 +162,12 @@ class TestExpm:
         X = np.array([[0.0, 1.0], [1.0, 0.0]])
         U = linalg.expm_hermitian_generator(X, t=np.pi / 2)
         np.testing.assert_allclose(U, -1j * X, atol=1e-10)
+
+    def test_phase_overflow_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="overflows"):
+                linalg.expm_hermitian_generator(np.diag([0.0, 5.0]), t=1e308)
 
     @given(seed=st.integers(0, 10_000), t=st.floats(-10.0, 10.0))
     def test_unitarity(self, seed, t):

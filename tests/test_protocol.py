@@ -8,6 +8,7 @@ from ergokit import (BatterySpec, QuantumState, apply_unitary,
                      best_product_work, brute_force_oracle, curve,
                      entangling_advantage, ergotropy, evolve, gibbs_state,
                      optimal_unitary)
+from ergokit import linalg
 from ergokit.ensemble import product_energies, product_populations
 from ergokit.protocol import ControlSchedule
 from ergokit.errors import (DimensionMismatchError, NotHermitianError,
@@ -103,7 +104,7 @@ class TestEvolve:
         rng = np.random.default_rng(70)
         energies = product_energies(QUBIT, 2)
         big = QuantumState.diagonal(
-            product_populations(QUBIT_STATE.populations, 2))
+            product_populations(QUBIT_STATE.diagonal_populations(), 2))
         w_2 = curve(QUBIT_STATE, QUBIT, 2).work[2]
         for _ in range(20):
             G = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -155,10 +156,12 @@ class TestApplyUnitary:
 
 class TestFinalState:
     """The final state is the unitary image of the input, built without
-    full()'s checks: read-only, with the input's spectrum."""
+    full()'s checks: read-only, with the input's spectrum. The result
+    carries the unitarity defect of its unitary."""
 
     def check(self, state, res):
         assert not res.final_state.matrix.flags.writeable
+        assert res.unitarity_defect == linalg.unitarity_defect(res.total_unitary)
         np.testing.assert_allclose(res.final_state.spectrum_descending,
                                    state.spectrum_descending, rtol=0,
                                    atol=1e-12)
@@ -242,7 +245,7 @@ class TestProductVsEntangling:
             w_n = curve(state, bat, n).work[n]
             energies = product_energies(bat, n)
             big = QuantumState.diagonal(
-                product_populations(state.populations, n))
+                product_populations(state.diagonal_populations(), n))
             for _ in range(10):
                 U = random_unitary(rng, d ** n)
                 res = apply_unitary(big, energies, U)
