@@ -9,9 +9,10 @@ checkouts bit for bit.
 Each line is `name value`: a float as float.hex, an int or bool as
 itself, an array or a text as a short hash of its exact bytes. The
 records cover the two demo problems and 200 seeded random states
-(diagonal with tied, zero and roundoff-negative populations, and full,
-d = 2..16): energy, spectrum, passive state, entropy-matched bound,
-optimal unitary, the curve to n = 4 or 3, the n = 2 entangling
+(diagonal, d = 2..16, with tied, zero and roundoff-negative populations;
+full, d = 2..32, up to the largest size `ergokit simulate` is benchmarked
+at): energy, spectrum, passive state, entropy-matched bound, optimal
+unitary, the curve to n = 4 or 3, the n = 2 entangling
 advantage, the complete-passivity report (diagonal states), evolve and
 apply_unitary; and the ergotropy, curve, simulate and oracle subcommands on the demo
 files, their exit codes, stdout, stderr and CSV. One simulate run has a
@@ -58,8 +59,9 @@ def emit(name: str, x) -> None:
 
 
 def random_problem(ek, rng, k):
-    """Battery and state k: d cycles through 2..16, even k diagonal."""
-    d = 2 + k % 15
+    """Battery and state k: even k diagonal with d = 2..16, odd k full
+    with d = 2..32."""
+    d = 2 + k % (15 if k % 2 == 0 else 31)
     energies = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, d - 1))])
     if k % 2 == 0:
         counts = rng.integers(0, 4, d) if k % 4 == 0 else rng.uniform(0, 1, d)

@@ -1,13 +1,15 @@
 """Dense complex linear algebra for small Hermitian problems.
 
-Self-contained substrate: validation, a cyclic Jacobi eigensolver for
-Hermitian matrices, and the matrix exponential exp(-i t A) built on it.
-No LAPACK on this path; intended for dimensions up to a few hundred.
+Self-contained substrate: validation, a Jacobi eigensolver for Hermitian
+matrices in the round-robin parallel ordering of Brent & Luk (SIAM J.
+Sci. Stat. Comput. 6, 1985), and the matrix exponential exp(-i t A)
+built on it. No LAPACK on this path, and no BLAS in the eigensolver;
+intended for dimensions up to a few hundred.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,75 +52,99 @@ def unitarity_defect(U: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class HermitianEig:
-    """Eigendecomposition M = Q diag(w) Q^dag with w sorted ascending."""
+    """Eigendecomposition M = Q diag(w) Q^dag with w sorted ascending,
+    the number of Jacobi sweeps it took and the largest off-diagonal
+    magnitude left when they stopped."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    sweeps: int
+    residual: float
+
+
+@functools.lru_cache(maxsize=128)
+def _round_robin(d: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """One Brent-Luk sweep over range(d): the rounds of a round-robin
+    tournament, d - 1 for even d and d for odd d (padded with a dummy
+    index d whose pairs are dropped). Each step holds the disjoint pairs
+    (P[j], Q[j]), P < Q, with PQ and QP their indices concatenated both
+    ways; every pair p < q occurs in exactly one step."""
+    m = d + d % 2
+    # this start gives d = 3 the row-cyclic order (0, 1), (0, 2), (1, 2),
+    # which takes fewer sweeps there than the reverse order
+    ring = [0] + list(range(2, m)) + [1]
+    steps = []
+    for _ in range(m - 1):
+        pairs = [sorted(pair) for pair in zip(ring[:m // 2], ring[::-1])
+                 if d not in pair]
+        P, Q = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        steps.append((P, Q, np.concatenate((P, Q)), np.concatenate((Q, P))))
+        ring = ring[:1] + ring[2:] + ring[1:2]
+    return tuple(steps)
 
 
 def eig_hermitian(M) -> HermitianEig:
-    """Diagonalize a Hermitian matrix by cyclic complex Jacobi rotations.
+    """Diagonalize a Hermitian matrix by complex Jacobi rotations in the
+    round-robin parallel ordering of Brent & Luk (SIAM J. Sci. Stat.
+    Comput. 6, 1985).
 
-    Each rotation zeroes one off-diagonal pair with a unitary plane
-    rotation whose phase absorbs arg(A[p,q]); sweeps repeat until the
-    largest off-diagonal magnitude falls below the working threshold.
-    Deterministic: identical input bits give identical output bits.
+    Each rotation zeroes one off-diagonal pair (p, q) with a unitary
+    plane rotation whose phase absorbs arg(A[p,q]); a step of
+    _round_robin rotates its disjoint pairs at once, with elementwise
+    numpy operations only. Sweeps repeat until the largest off-diagonal
+    magnitude falls below the working threshold; a pair at a tenth of
+    it or less gets the identity rotation, and every pair of a step is
+    left exactly zero. Deterministic: identical input bits give
+    identical output bits.
 
     Raises NotHermitianError if the input fails is_hermitian and
-    NoConvergenceError if JACOBI_MAX_SWEEPS cyclic sweeps do not converge.
+    NoConvergenceError if JACOBI_MAX_SWEEPS round-robin sweeps do not
+    converge.
     """
     A = as_square_matrix(M)
     if not is_hermitian(A):
         raise NotHermitianError(
             f"matrix deviates from Hermitian by more than tol={HERMITIAN_TOL}")
     d = A.shape[0]
-    # symmetrize roundoff-level asymmetry before iterating
-    A = (A + A.conj().T) / 2.0
-    V = np.eye(d, dtype=complex)
+    # symmetrize roundoff-level asymmetry; stacked as [A; V], the columns
+    # of A and V rotate together
+    W = np.concatenate(((A + A.conj().T) / 2.0, np.eye(d, dtype=complex)))
+    A = W[:d]
+    diag = A.reshape(-1)[::d + 1]
+    levels = diag.real
     stop = 1e-14 * float(np.max(np.abs(A)))
     skip = 0.1 * stop
 
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if max_offdiagonal(A) <= stop:
+    for sweeps in range(JACOBI_MAX_SWEEPS + 1):
+        residual = max_offdiagonal(A)
+        if residual <= stop:
             break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = A[p, q]
-                m = abs(apq)
-                if m <= skip:
-                    continue
-                phase = apq / m
-                theta = 0.5 * math.atan2(2.0 * m, A[p, p].real - A[q, q].real)
-                c = math.cos(theta)
-                s = math.sin(theta)
-                # columns: A <- A J with J the plane rotation on (p, q)
-                col_p = A[:, p] * c + A[:, q] * (s * np.conj(phase))
-                col_q = A[:, p] * (-s * phase) + A[:, q] * c
-                A[:, p] = col_p
-                A[:, q] = col_q
-                # rows: A <- J^dag A
-                row_p = A[p, :] * c + A[q, :] * (s * phase)
-                row_q = A[p, :] * (-s * np.conj(phase)) + A[q, :] * c
-                A[p, :] = row_p
-                A[q, :] = row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                A[p, p] = A[p, p].real
-                A[q, q] = A[q, q].real
-                # accumulate eigenvectors: V <- V J
-                v_p = V[:, p] * c + V[:, q] * (s * np.conj(phase))
-                v_q = V[:, p] * (-s * phase) + V[:, q] * c
-                V[:, p] = v_p
-                V[:, q] = v_q
-    else:
-        if max_offdiagonal(A) > stop:
+        if sweeps == JACOBI_MAX_SWEEPS:
             raise NoConvergenceError(
                 f"Jacobi sweep budget ({JACOBI_MAX_SWEEPS}) exhausted; "
-                f"residual off-diagonal {max_offdiagonal(A):.3e}")
+                f"residual off-diagonal {residual:.3e}")
+        for P, Q, PQ, QP in _round_robin(d):
+            apq = A[P, Q]
+            m = np.abs(apq)
+            rotate = m > skip
+            theta = np.arctan2(m + m, levels[P] - levels[Q],
+                               out=np.zeros(m.shape), where=rotate)
+            theta *= 0.5
+            c = np.cos(theta)
+            # J[p, p] = J[q, q] = c, J[q, p] = g, J[p, q] = -conj(g)
+            g = np.sin(theta) * np.divide(apq.conj(), m, where=rotate,
+                                          out=np.zeros(m.shape, dtype=complex))
+            c = np.concatenate((c, c))
+            g = np.concatenate((g, -g.conj()))
+            # columns [A; V] <- [A; V] J, then rows A <- J^dag A
+            W[:, PQ] = W[:, PQ] * c + W[:, QP] * g
+            A[PQ] = A[PQ] * c[:, None] + A[QP] * g.conj()[:, None]
+            A[PQ, QP] = 0.0
+            diag.imag[...] = 0.0
 
-    w = np.diag(A).real.copy()
+    w = levels.copy()
     order = np.argsort(w, kind="stable")
-    return HermitianEig(w[order], V[:, order])
+    return HermitianEig(w[order], W[d:, order], sweeps, residual)
 
 
 def expm_hermitian_generator(A, t: float) -> np.ndarray:

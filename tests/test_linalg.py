@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ergokit import linalg
+from conftest import random_unitary
+from ergokit import QuantumState, linalg
 from ergokit.errors import (DimensionMismatchError, NoConvergenceError,
                             NotHermitianError, ValidationError)
 
@@ -135,6 +136,96 @@ class TestEigHermitian:
         np.testing.assert_allclose(eig.eigenvalues, [0.0, 1.0, 1.0], atol=1e-14)
         rec = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.conj().T
         np.testing.assert_allclose(rec, M, atol=1e-12)
+
+
+def assert_matches_eigh(M, eig, tol=1e-13):
+    """Eigenvalues against LAPACK eigh (a test oracle only), the residual
+    max|M Q - Q diag(w)| and the orthogonality defect max|Q^dag Q - I|,
+    each within tol times max|M| (the orthogonality defect within tol)."""
+    scale = float(np.max(np.abs(M)))
+    Q, w = eig.eigenvectors, eig.eigenvalues
+    assert np.max(np.abs(w - np.linalg.eigvalsh(M))) <= tol * scale
+    assert np.max(np.abs(M @ Q - Q * w)) <= tol * scale
+    assert np.max(np.abs(Q.conj().T @ Q - np.eye(len(w)))) <= tol
+
+
+class TestRoundRobin:
+    """The Brent-Luk schedule and the solver at the sizes simulate runs."""
+
+    @pytest.mark.parametrize("d", range(2, 66))
+    def test_schedule_covers_every_pair_once(self, d):
+        steps = linalg._round_robin(d)
+        assert len(steps) == d - 1 + d % 2
+        seen = []
+        for P, Q, PQ, QP in steps:
+            assert len(P) == len(Q) == d // 2
+            assert np.all(P < Q) and np.all(Q < d) and np.all(P >= 0)
+            # disjoint: no index twice in one step
+            assert len(set(P.tolist() + Q.tolist())) == 2 * len(P)
+            assert np.array_equal(PQ, np.concatenate((P, Q)))
+            assert np.array_equal(QP, np.concatenate((Q, P)))
+            seen += zip(P.tolist(), Q.tolist())
+        assert sorted(seen) == [(p, q) for p in range(d) for q in range(p + 1, d)]
+
+    @pytest.mark.parametrize("d", [7, 8, 16, 32, 33, 64])
+    def test_matches_eigh_at_simulated_sizes(self, d):
+        rng = np.random.default_rng(200 + d)
+        M = random_hermitian(rng, d, scale=rng.uniform(0.1, 10.0))
+        assert_matches_eigh(M, linalg.eig_hermitian(M))
+
+    def test_repeated_calls_are_bit_identical_at_d32(self):
+        M = random_hermitian(np.random.default_rng(232), 32)
+        a = linalg.eig_hermitian(M.copy())
+        b = linalg.eig_hermitian(M.copy())
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.eigenvectors, b.eigenvectors)
+        assert (a.sweeps, a.residual) == (b.sweeps, b.residual)
+
+    def test_fourfold_degenerate_spectrum_at_d16(self):
+        rng = np.random.default_rng(216)
+        U = random_unitary(rng, 16)
+        w = np.repeat([-1.5, 0.25, 0.5, 3.0], 4)
+        M = (U * w) @ U.conj().T
+        M = (M + M.conj().T) / 2
+        eig = linalg.eig_hermitian(M)
+        assert_matches_eigh(M, eig)
+        np.testing.assert_allclose(eig.eigenvalues, w, rtol=0, atol=1e-13 * 3.0)
+
+    def test_exact_zero_pairs_take_the_identity_rotation(self):
+        # a block-diagonal matrix: every pair across the two blocks is an
+        # exact zero, skipped in every sweep, and stays exactly zero
+        rng = np.random.default_rng(217)
+        M = np.zeros((9, 9), dtype=complex)
+        M[:4, :4] = random_hermitian(rng, 4)
+        M[4:, 4:] = random_hermitian(rng, 5)
+        eig = linalg.eig_hermitian(M)
+        assert eig.sweeps > 0
+        assert_matches_eigh(M, eig)
+        Q = eig.eigenvectors
+        blocks = np.abs(Q[:4]).sum(axis=0) * np.abs(Q[4:]).sum(axis=0)
+        assert np.all(blocks == 0.0)
+
+    def test_sweeps_and_residual(self):
+        M = random_hermitian(np.random.default_rng(232), 32)
+        eig = linalg.eig_hermitian(M)
+        assert 0 < eig.sweeps <= 12
+        assert 0.0 <= eig.residual <= 1e-14 * np.max(np.abs(M))
+
+    def test_diagonal_input_takes_zero_sweeps(self):
+        eig = linalg.eig_hermitian(np.diag([3.0, -1.0, 2.0, 0.5]))
+        assert (eig.sweeps, eig.residual) == (0, 0.0)
+        # the curve's spectrum call on a diagonal state exits the same way
+        state = QuantumState.diagonal([0.5, 0.3, 0.2])
+        eig = linalg.eig_hermitian(state.matrix)
+        assert (eig.sweeps, eig.residual) == (0, 0.0)
+        assert np.array_equal(eig.eigenvectors, np.eye(3)[:, ::-1])
+
+    def test_budget_message_reports_residual(self, monkeypatch):
+        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
+        M = random_hermitian(np.random.default_rng(233), 8)
+        with pytest.raises(NoConvergenceError, match=r"budget \(1\) exhausted; "
+                           r"residual off-diagonal \d"):
+            linalg.eig_hermitian(M)
 
 
 class TestDefects:

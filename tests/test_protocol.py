@@ -93,6 +93,30 @@ class TestEvolve:
             work_from_trace = float(np.diag(delta).real @ bat.energies)
             assert abs(res.work - work_from_trace) <= 1e-10
 
+    def test_large_schedule_matches_eigh_propagator(self):
+        # the size simulate runs: d = 32 with three random Hermitian
+        # segments, against a propagator built from LAPACK eigh (a test
+        # oracle only)
+        rng = np.random.default_rng(71)
+        d = 32
+        bat = random_battery(rng, d)
+        state = random_density_matrix(rng, d)
+        segs = []
+        for _ in range(3):
+            G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            segs.append((rng.uniform(0.2, 1.5), (G + G.conj().T) / (2 * np.sqrt(d))))
+        res = evolve(state, bat, ControlSchedule.from_pairs(segs))
+        H = np.diag(bat.energies).astype(complex)
+        U = np.eye(d, dtype=complex)
+        for dt, V in segs:
+            w, Q = np.linalg.eigh(H + V)
+            U = (Q * np.exp(-1j * dt * w)) @ Q.conj().T @ U
+        assert np.max(np.abs(res.total_unitary - U)) <= 1e-10
+        rho = U @ state.matrix @ U.conj().T
+        work = float(np.dot(state.diagonal_populations() - np.diag(rho).real,
+                            bat.energies))
+        assert abs(res.work - work) <= 1e-10
+
     def test_dimension_mismatch(self):
         sched = ControlSchedule.from_pairs([(1.0, np.zeros((3, 3)))])
         with pytest.raises(DimensionMismatchError):
