@@ -14,8 +14,10 @@ full, d = 2..32, up to the largest size `ergokit simulate` is benchmarked
 at): energy, spectrum, passive state, entropy-matched bound, optimal
 unitary, the curve to n = 4 or 3, the n = 2 entangling
 advantage, the complete-passivity report (diagonal states), evolve and
-apply_unitary; and the ergotropy, curve, simulate and oracle subcommands on the demo
-files, their exit codes, stdout, stderr and CSV. One simulate run has a
+apply_unitary; the n-copy level tables (log_prob, energy, log_mult and
+e(n)) of seeded problems at fixed (d, n) up to 118,755 rows; and the
+ergotropy, curve, simulate and oracle subcommands on the demo files,
+their exit codes, stdout, stderr and CSV. One simulate run has a
 segment whose phase overflows the float range.
 
 --src DIR imports ergokit from DIR/src, so the same script digests
@@ -39,6 +41,8 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 STATES = 200
 SEED = 20261018
+# (d, n) of the level tables digested row by row
+TABLE_SIZES = [(2, 64), (3, 40), (4, 20), (6, 24), (8, 14)]
 
 
 def digest(x) -> str:
@@ -116,6 +120,16 @@ def library_records(ek, name, battery, state, rng):
     emit(f"{name}.evolve.final_spectrum", res.final_state.spectrum_descending)
 
 
+def table_records(ek, rng):
+    for d, n in TABLE_SIZES:
+        energies = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, d - 1))])
+        table = ek.build_level_table(rng.dirichlet(np.ones(d)),
+                                     ek.BatterySpec(energies), n)
+        for field in ("log_prob", "energy", "log_mult"):
+            emit(f"table.d{d}.n{n}.{field}", getattr(table, field))
+        emit(f"table.d{d}.n{n}.e", ek.passive_energy_per_copy(table))
+
+
 def run_cli(cli, name, argv, csv_path=None):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -164,6 +178,7 @@ def main():
     for k in range(STATES):
         battery, state = random_problem(ek, rng, k)
         library_records(ek, f"state[{k:03d}].d{battery.dim}", battery, state, rng)
+    table_records(ek, np.random.default_rng(SEED))
     with tempfile.TemporaryDirectory() as tmp:
         cli_records(cli, Path(tmp))
 

@@ -208,7 +208,7 @@ def cmd_curve(args) -> int:
             result = curve(state, battery, n_max=args.n_max)
             status = EXIT_OK
         except CapExceededError as exc:
-            print(f"composition cap exceeded: {exc}", file=sys.stderr)
+            print(f"cap exceeded: {exc}", file=sys.stderr)
             result, status = exc.partial, EXIT_CAP
         write_curve_csv(fh, result)
     print(_curve_summary(result), file=sys.stderr)

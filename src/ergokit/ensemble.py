@@ -7,11 +7,20 @@ table entry per composition, carrying a log-probability, a total energy,
 and a log-multinomial multiplicity, replaces the d^n level expansion with
 C(n+d-1, d-1) rows. Probabilities and multiplicities stay in the log
 domain; only ratios bounded by the total mass are ever exponentiated.
+
+The compositions of (n, d) are cached as a read-only (d, rows) count
+array of the smallest unsigned dtype that holds n, beside their
+log-multiplicities: d * itemsize + 8 bytes per row (14 at d = 6, n <=
+255), in a cache bounded by COMPOSITION_CACHE_BYTES. A table's log_prob
+and energy are summed one level at a time in a fixed left-to-right order
+with elementwise operations, no BLAS call, so each row equals the scalar
+sum bit for bit. One uncached build plus its merge peaks near
+TABLE_BYTES_PER_ROW bytes per row; a table whose estimate exceeds
+TABLE_BYTE_BUDGET is refused before anything is allocated.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -25,6 +34,13 @@ from .gibbs import entropy_target, match_entropy
 
 DEFAULT_COMPOSITION_CAP = 50_000_000
 COMPOSITION_CAP_ENV = "ERGOKIT_MAX_COMPOSITIONS"
+# peak bytes of one uncached build plus its merge, per table row
+# (tracemalloc, largest of (d, n) = (8, 14), (6, 24) and (3, 1024))
+TABLE_BYTES_PER_ROW = 200
+# build_level_table refuses a table whose estimated peak exceeds this
+TABLE_BYTE_BUDGET = 2 * 2**30
+# the composition cache evicts its least recently used entries beyond this
+COMPOSITION_CACHE_BYTES = 64 * 2**20
 BRUTE_FORCE_CAP = 10_000_000
 DIAGONAL_TOL = 1e-10
 # complete_passivity_check: per-copy work above this times n is active
@@ -58,26 +74,73 @@ def _check_cap(required: int, cap: int, what: str, note: str = "") -> None:
                                required=required, cap=cap)
 
 
-@functools.lru_cache(maxsize=128)
-def _composition_matrix(n: int, d: int) -> np.ndarray:
-    """All compositions of n into d parts, one row each, lexicographic in
-    (k_1, ..., k_d)."""
+def _composition_matrix(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """All compositions of n into d parts and their log-multiplicities.
+
+    counts is a read-only (d, rows) array of np.min_scalar_type(n); its
+    column i is composition i, lexicographic in (k_1, ..., k_d).
+    log_mult[i] = ln(n!) - (ln k_1! + ... + ln k_d!), summed left to right.
+    """
+    dtype = np.min_scalar_type(n)
     # blocks[m]: compositions of m into j parts. Those into j parts are
     # k_1 = 0..m, each followed by the (j-1)-part compositions of m - k_1;
     # m descends so that blocks[m - k_1] still holds j - 1 parts.
-    blocks = [np.array([[m]], dtype=np.int64) for m in range(n + 1)]
+    blocks = [np.full((1, 1), m, dtype=dtype) for m in range(n + 1)]
+    # sizes[m]: the number of columns of blocks[m]
+    sizes = [1] * (n + 1)
     for j in range(2, d + 1):
         # the last pass needs only m = n
         for m in range(n, -1, -1) if j < d else (n,):
-            tails = blocks[m::-1]
-            sizes = [len(t) for t in tails]
-            K = np.empty((sum(sizes), j), dtype=np.int64)
-            K[:, 0] = np.repeat(np.arange(m + 1, dtype=np.int64), sizes)
-            np.concatenate(tails, out=K[:, 1:])
+            tail_sizes = sizes[m::-1]
+            sizes[m] = sum(tail_sizes)
+            K = np.empty((j, sizes[m]), dtype=dtype)
+            K[0] = np.repeat(np.arange(m + 1, dtype=dtype), tail_sizes)
+            np.concatenate(blocks[m::-1], axis=1, out=K[1:])
             blocks[m] = K
-    K = blocks[n]
-    K.flags.writeable = False
-    return K
+    counts = blocks[n]
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    log_mult = log_fact[counts[0]]
+    for k in counts[1:]:
+        log_mult += log_fact[k]
+    np.subtract(log_fact[n], log_mult, out=log_mult)
+    counts.flags.writeable = False
+    log_mult.flags.writeable = False
+    return counts, log_mult
+
+
+class _CompositionCache:
+    """_composition_matrix results by (n, d), least recently used first.
+
+    Holds at most COMPOSITION_CACHE_BYTES; an entry larger than that is
+    returned but not kept."""
+
+    def __init__(self):
+        self.entries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self.nbytes = 0
+        self.misses = 0
+
+    def get(self, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+        key = (n, d)
+        entry = self.entries.pop(key, None)
+        if entry is not None:
+            self.entries[key] = entry
+            return entry
+        self.misses += 1
+        entry = _composition_matrix(n, d)
+        size = _nbytes(entry)
+        if size <= COMPOSITION_CACHE_BYTES:
+            while self.nbytes + size > COMPOSITION_CACHE_BYTES:
+                self.nbytes -= _nbytes(self.entries.pop(next(iter(self.entries))))
+            self.entries[key] = entry
+            self.nbytes += size
+        return entry
+
+
+def _nbytes(arrays) -> int:
+    return sum(a.nbytes for a in arrays)
+
+
+_compositions = _CompositionCache()
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,25 +176,44 @@ def _validated_spectrum(spectrum, d: int) -> np.ndarray:
 
 
 def build_level_table(spectrum, battery: BatterySpec, n: int) -> WeightedLevelTable:
-    """One entry per composition of n into d parts."""
+    """One entry per composition of n into d parts.
+
+    log_prob and energy are filled one part j at a time, left to right:
+    each row is k_1 x_1 + k_2 x_2 + ... + k_d x_d in float64 with x_j =
+    math.log(r_j) or eps_j, bit for bit the scalar sum in that order. No
+    BLAS call runs, so the bits do not depend on the CPU's kernels. A
+    zero eigenvalue contributes 0 and turns every row that uses it to
+    -inf. log_mult is the cached entry of (n, d).
+
+    Before anything is allocated, the rows are checked against
+    composition_cap() and the estimated peak of build plus merge,
+    TABLE_BYTES_PER_ROW (200) bytes per row, against TABLE_BYTE_BUDGET;
+    either excess raises CapExceededError.
+    """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     d = battery.dim
     r = _validated_spectrum(spectrum, d)
-    _check_cap(composition_count(n, d), composition_cap(),
+    rows = composition_count(n, d)
+    _check_cap(rows, composition_cap(),
                "compositions exceed the cap", f" (override with {COMPOSITION_CAP_ENV})")
+    _check_cap(rows * TABLE_BYTES_PER_ROW, TABLE_BYTE_BUDGET,
+               "estimated bytes exceed the table byte budget",
+               f" ({rows} rows at {TABLE_BYTES_PER_ROW} bytes each)")
 
-    K = _composition_matrix(n, d)
-    zero = r == 0.0
-    log_r = np.where(zero, 0.0, np.log(np.where(zero, 1.0, r)))
-    log_prob = K @ log_r
-    if np.any(zero):
-        log_prob[(K[:, zero] > 0).any(axis=1)] = -np.inf
-    total_energy = K @ battery.energies
-    log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
-    log_mult = log_fact[n] - log_fact[K].sum(axis=1)
-    for arr in (log_prob, total_energy, log_mult):
-        arr.flags.writeable = False
+    counts, log_mult = _compositions.get(n, d)
+    r_levels = r.tolist()
+    # weights[j] = (ln r_j, eps_j) as a column, ln 0 taken as 0
+    weights = np.array([[math.log(x) if x > 0.0 else 0.0 for x in r_levels],
+                        battery.energies]).T[:, :, None]
+    sums = counts[0] * weights[0]
+    for k, w in zip(counts[1:], weights[1:]):
+        sums += k * w
+    for k, x in zip(counts, r_levels):
+        if x == 0.0:
+            sums[0, k > 0] = -np.inf
+    sums.flags.writeable = False
+    log_prob, total_energy = sums
     return WeightedLevelTable(n=n, dim=d, log_prob=log_prob,
                               energy=total_energy, log_mult=log_mult)
 
@@ -281,8 +363,8 @@ def curve(state: QuantumState, battery: BatterySpec, n_max: int) -> EnsembleCurv
 
     e(n) depends only on the spectrum of rho (conjugation-invariant);
     w(n) = tr(rho H) - e(n) uses the energy of the supplied state. If the
-    composition cap is hit before n_max, raises CapExceededError carrying
-    the largest feasible n and the partial curve.
+    composition cap or the table byte budget is hit before n_max, raises
+    CapExceededError carrying the largest feasible n and the partial curve.
     """
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")

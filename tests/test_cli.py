@@ -204,6 +204,18 @@ class TestCurveCommand:
         assert len(lines) == 5
         assert "cap" in capsys.readouterr().err
 
+    def test_byte_budget_exceeded_writes_feasible_rows(self, qubit_file,
+                                                       tmp_path, monkeypatch,
+                                                       capsys):
+        # d = 2: n + 1 rows, so a budget of 5 rows ends the curve at n = 4
+        monkeypatch.setattr(ensemble, "TABLE_BYTE_BUDGET",
+                            5 * ensemble.TABLE_BYTES_PER_ROW)
+        out = tmp_path / "budget.csv"
+        assert cli.main(["curve", qubit_file, "--n-max", "10",
+                         "--out", str(out)]) == 4
+        assert len(out.read_text().splitlines()) == 5
+        assert "byte budget" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["lots", "0", "-5"])
     def test_invalid_cap_env_exits_2(self, qubit_file, tmp_path, value):
         env = dict(os.environ, ERGOKIT_MAX_COMPOSITIONS=value)

@@ -32,11 +32,13 @@ class TestCompositionMatrix:
         for n in range(9):
             expected = [k for k in itertools.product(range(n + 1), repeat=d)
                         if sum(k) == n]
-            K = _composition_matrix(n, d)
-            np.testing.assert_array_equal(K, np.array(expected).reshape(-1, d))
-            assert K.shape == (composition_count(n, d), d)
-            assert K.dtype == np.int64
+            K, log_mult = _composition_matrix(n, d)
+            np.testing.assert_array_equal(K, np.array(expected).reshape(-1, d).T)
+            assert K.shape == (d, composition_count(n, d))
+            assert K.dtype == np.min_scalar_type(n)
+            assert log_mult.shape == (composition_count(n, d),)
             assert not K.flags.writeable
+            assert not log_mult.flags.writeable
 
     def test_log_mult_matches_exact_multinomial(self):
         # exact integer multinomials; a battery needs at least two levels
@@ -44,8 +46,8 @@ class TestCompositionMatrix:
             bat = BatterySpec(np.arange(float(d)))
             for n in range(1, 31):
                 exact = [math.log(math.factorial(n) // math.prod(
-                    math.factorial(int(k)) for k in row))
-                    for row in _composition_matrix(n, d)]
+                    math.factorial(int(k)) for k in column))
+                    for column in _composition_matrix(n, d)[0].T]
                 t = build_level_table(np.full(d, 1.0 / d), bat, n)
                 np.testing.assert_allclose(t.log_mult, exact, rtol=1e-13,
                                            atol=0.0)
@@ -105,6 +107,72 @@ class TestBuildLevelTable:
             build_level_table(DEMO_SPECTRUM, demo_battery, 10)
         assert exc.value.required == composition_count(10, 3)
         assert exc.value.cap == 5
+
+    @pytest.mark.parametrize("d, n, zero_level", [(6, 24, False),
+                                                  (8, 14, False),
+                                                  (3, 40, True)])
+    def test_rows_are_left_to_right_scalar_sums(self, d, n, zero_level):
+        rng = np.random.default_rng(1000 * d + n)
+        r = rng.dirichlet(np.ones(d))
+        if zero_level:
+            r[1], r[0] = 0.0, r[0] + r[1]
+        bat = random_battery(rng, d, ground=-0.5)
+        t = build_level_table(r, bat, n)
+        K = _composition_matrix(n, d)[0]
+        log_r = [math.log(x) if x > 0.0 else 0.0 for x in r]
+        eps = bat.energies.tolist()
+        log_fact = [math.lgamma(k + 1) for k in range(n + 1)]
+        rows = range(0, len(t), 7)
+        want_lp, want_e, want_lm = [], [], []
+        for i in rows:
+            k = K[:, i].tolist()
+            used_zero = any(kj > 0 and rj == 0.0 for kj, rj in zip(k, r))
+            want_lp.append(-math.inf if used_zero
+                           else sum(kj * x for kj, x in zip(k, log_r)))
+            want_e.append(sum(kj * x for kj, x in zip(k, eps)))
+            want_lm.append(log_fact[n] - sum(log_fact[kj] for kj in k))
+        for got, want in ((t.log_prob, want_lp), (t.energy, want_e),
+                          (t.log_mult, want_lm)):
+            assert got[rows.start::rows.step].tobytes() == np.array(want).tobytes()
+
+    def test_wide_counts_do_not_wrap(self):
+        # n above the uint16 range: a narrower count dtype would wrap
+        n = 70_000
+        bat = BatterySpec(np.array([0.25, 1.3]))
+        t = build_level_table([0.6, 0.4], bat, n)
+        assert len(t) == n + 1
+        # lexicographic rows run from (0, n) to (n, 0)
+        assert t.energy[0] == n * 1.3
+        assert t.energy[-1] == n * 0.25
+        assert t.log_mult[0] == t.log_mult[-1] == 0.0
+
+    def test_byte_budget_refuses_before_enumerating(self, demo_battery,
+                                                    monkeypatch):
+        budget = 100_000
+        monkeypatch.setattr(ensemble, "TABLE_BYTE_BUDGET", budget)
+        enumerated = []
+        real = ensemble._composition_matrix
+
+        def spy(n, d):
+            enumerated.append(composition_count(n, d))
+            return real(n, d)
+
+        monkeypatch.setattr(ensemble, "_composition_matrix", spy)
+        misses = ensemble._compositions.misses
+        with pytest.raises(CapExceededError) as exc:
+            build_level_table(DEMO_SPECTRUM, demo_battery, 40)
+        assert exc.value.required == 861 * ensemble.TABLE_BYTES_PER_ROW
+        assert exc.value.cap == budget
+        assert "byte budget" in str(exc.value)
+        assert ensemble._compositions.misses == misses
+        assert enumerated == []
+        # a curve stops at the last n whose estimate fits: C(32, 2) = 496
+        # rows at n = 30, 528 at n = 31
+        with pytest.raises(CapExceededError) as exc:
+            curve(QuantumState.diagonal(DEMO_SPECTRUM), demo_battery, 40)
+        assert exc.value.largest_feasible_n == 30
+        assert all(rows * ensemble.TABLE_BYTES_PER_ROW <= budget
+                   for rows in enumerated)
 
     def test_bad_spectrum(self, demo_battery):
         with pytest.raises(ValidationError):
@@ -398,6 +466,35 @@ class TestProductHelpers:
             product_energies(bat, 9)
         with pytest.raises(CapExceededError):
             product_populations(np.full(10, 0.1), 9)
+
+
+class TestCompositionCache:
+    def test_bytes_stay_under_the_bound_across_a_d8_curve(self, monkeypatch):
+        bound = 2**20
+        monkeypatch.setattr(ensemble, "COMPOSITION_CACHE_BYTES", bound)
+        cache = ensemble._CompositionCache()
+        monkeypatch.setattr(ensemble, "_compositions", cache)
+        bat = BatterySpec(np.arange(8.0))
+        r = np.full(8, 0.125)
+        for n in range(1, 15):
+            build_level_table(r, bat, n)
+            held = sum(a.nbytes for entry in cache.entries.values()
+                       for a in entry)
+            assert cache.nbytes == held <= bound
+        # n = 13 and 14 (1.24 and 1.86 MB) are returned but not kept, and
+        # the oldest entries were evicted to make room for n = 12
+        assert cache.misses == 14
+        assert (12, 8) in cache.entries
+        assert not {(1, 8), (13, 8), (14, 8)} & set(cache.entries)
+        build_level_table(r, bat, 12)
+        assert cache.misses == 14
+
+    def test_default_bound_holds_a_full_d8_curve(self):
+        curve(QuantumState.diagonal(np.full(8, 0.125)),
+              BatterySpec(np.arange(8.0)), 14)
+        cache = ensemble._compositions
+        assert cache.nbytes <= ensemble.COMPOSITION_CACHE_BYTES
+        assert all((n, 8) in cache.entries for n in range(1, 15))
 
 
 class TestEnvironmentCap:
