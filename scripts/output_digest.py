@@ -15,7 +15,8 @@ at): energy, spectrum, passive state, entropy-matched bound, optimal
 unitary, the curve to n = 4 or 3, the n = 2 entangling
 advantage, the complete-passivity report (diagonal states), evolve and
 apply_unitary; the n-copy level tables (log_prob, energy, log_mult and
-e(n)) of seeded problems at fixed (d, n) up to 118,755 rows; and the
+e(n)) of seeded problems at fixed (d, n) up to 118,755 rows, of a tied
+integer ladder at n = 200 and of a zero eigenvalue at n = 90; and the
 ergotropy, curve, simulate and oracle subcommands on the demo files,
 their exit codes, stdout, stderr and CSV. One simulate run has a
 segment whose phase overflows the float range.
@@ -125,9 +126,20 @@ def table_records(ek, rng):
         energies = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, d - 1))])
         table = ek.build_level_table(rng.dirichlet(np.ones(d)),
                                      ek.BatterySpec(energies), n)
-        for field in ("log_prob", "energy", "log_mult"):
-            emit(f"table.d{d}.n{n}.{field}", getattr(table, field))
-        emit(f"table.d{d}.n{n}.e", ek.passive_energy_per_copy(table))
+        table_record(ek, f"table.d{d}.n{n}", table)
+    # fixed spectra whose ladders run past one LADDER_BLOCK (2,048 rows):
+    # a tied integer ladder and a zero eigenvalue
+    for name, spectrum, energies, n in (
+            ("tied.d3.n200", [0.25, 0.5, 0.25], np.arange(3.0), 200),
+            ("zero.d3.n90", [0.7, 0.3, 0.0], np.array([0.0, 0.3, 1.0]), 90)):
+        table = ek.build_level_table(spectrum, ek.BatterySpec(energies), n)
+        table_record(ek, f"table.{name}", table)
+
+
+def table_record(ek, name, table):
+    for field in ("log_prob", "energy", "log_mult"):
+        emit(f"{name}.{field}", getattr(table, field))
+    emit(f"{name}.e", ek.passive_energy_per_copy(table))
 
 
 def run_cli(cli, name, argv, csv_path=None):

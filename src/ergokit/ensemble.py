@@ -7,6 +7,10 @@ table entry per composition, carrying a log-probability, a total energy,
 and a log-multinomial multiplicity, replaces the d^n level expansion with
 C(n+d-1, d-1) rows. Probabilities and multiplicities stay in the log
 domain; only ratios bounded by the total mass are ever exponentiated.
+The merge's cumulative count ladders are summed linearly within blocks
+of LADDER_BLOCK rows, each relative to its largest count and spanning at
+most e^LADDER_LINEAR_SPAN, and the blocks are joined in logs, so no
+count is rescaled out of the normal float range.
 
 The compositions of (n, d) are cached as a read-only (d, rows) count
 array of the smallest unsigned dtype that holds n, beside their
@@ -45,6 +49,12 @@ BRUTE_FORCE_CAP = 10_000_000
 DIAGONAL_TOL = 1e-10
 # complete_passivity_check: per-copy work above this times n is active
 ACTIVE_WORK_TOL = 1e-9
+# _log_ladder sums ladders of at least this many rows in linear blocks of
+# this many rows
+LADDER_BLOCK = 2048
+# a linear block spans at most this in ln count, so each exp(x - block
+# max) >= e^-690 stays a normal float (those end near e^-708)
+LADDER_LINEAR_SPAN = 690.0
 _EPS = float(np.finfo(float).eps)
 
 
@@ -218,8 +228,9 @@ def build_level_table(spectrum, battery: BatterySpec, n: int) -> WeightedLevelTa
                               energy=total_energy, log_mult=log_mult)
 
 
-def _sort_order(key: np.ndarray) -> np.ndarray:
-    """Ascending order of key; tied keys keep their table order.
+def _sort_order(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending order of key, and key in that order; tied keys keep their
+    table order.
 
     Without ties the permutation is unique, so the plain argsort is taken;
     only tied keys need the slower stable sort, which keeps the result a
@@ -227,15 +238,91 @@ def _sort_order(key: np.ndarray) -> np.ndarray:
     order = key.argsort()
     sorted_key = key[order]
     if (sorted_key[1:] == sorted_key[:-1]).any():
-        return key.argsort(kind="stable")
-    return order
+        # gathered again so that 0.0 and -0.0, which tie, keep their bits
+        order = key.argsort(kind="stable")
+        sorted_key = key[order]
+    return order, sorted_key
+
+
+def _ladder_blocks(a: np.ndarray) -> list[np.ndarray]:
+    """Views of a: its whole LADDER_BLOCK-row blocks as one (blocks,
+    LADDER_BLOCK) array, then the shorter tail as a (1, rows) array."""
+    full = a.size - a.size % LADDER_BLOCK
+    blocks = [a[:full].reshape(-1, LADDER_BLOCK)]
+    if full < a.size:
+        blocks.append(a[full:].reshape(1, -1))
+    return blocks
+
+
+def _linear_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per block (row): its largest entry, and whether it is summed
+    linearly, i.e. it holds no -inf and spans at most LADDER_LINEAR_SPAN."""
+    top = blocks.max(axis=1)
+    low = blocks.min(axis=1)
+    return top, (low > -np.inf) & (low >= top - LADDER_LINEAR_SPAN)
 
 
 def _log_ladder(log_counts: np.ndarray) -> np.ndarray:
-    """ln of the cumulative counts, with ln 0 = -inf prepended."""
+    """ln of the cumulative counts, with ln 0 = -inf prepended.
+
+    Fewer than LADDER_BLOCK counts are accumulated by np.logaddexp.accumulate.
+    A longer ladder is cut into blocks of LADDER_BLOCK rows, each summed
+    linearly: S = cumsum(exp(x - top)), top the block's largest entry.
+    The carry c, ln of the counts before the block, is a
+    np.logaddexp.accumulate over the block totals top + ln S[-1], and the
+    block's ladder is s + ln(S e^(top - s) + e^(c - s)), s = max(top, c).
+    A block that holds -inf or spans more than LADDER_LINEAR_SPAN could
+    start with counts below the normal float range; it is accumulated in
+    logs from c instead. No row-sized array is made besides the ladder.
+    """
     ladder = np.empty(log_counts.size + 1)
     ladder[0] = -np.inf
-    np.logaddexp.accumulate(log_counts, out=ladder[1:])
+    if log_counts.size < LADDER_BLOCK:
+        np.logaddexp.accumulate(log_counts, out=ladder[1:])
+        return ladder
+    parts = list(zip(_ladder_blocks(log_counts), _ladder_blocks(ladder[1:])))
+    shifts, linears, totals = [], [], []
+    for x, out in parts:
+        top, linear = _linear_blocks(x)
+        # a block of -inf alone sums to 0 whatever its shift
+        top[top == -np.inf] = 0.0
+        np.subtract(x, top[:, None], out=out)
+        np.exp(out, out=out)
+        np.cumsum(out, axis=1, out=out)
+        last = out[:, -1]
+        totals.append(top + np.log(last, out=np.full(last.size, -np.inf),
+                                   where=last > 0.0))
+        shifts.append(top)
+        linears.append(linear)
+    totals = np.concatenate(totals)
+    carries = np.empty(totals.size)
+    carries[0] = -np.inf
+    np.logaddexp.accumulate(totals[:-1], out=carries[1:])
+    start = 0
+    for (x, out), top, linear in zip(parts, shifts, linears):
+        carry = carries[start:start + len(out)]
+        start += len(out)
+        s = np.maximum(top, carry)
+        out *= np.exp(top - s)[:, None]
+        out += np.exp(carry - s)[:, None]
+        log_rows = (~linear).nonzero()[0]
+        out[log_rows] = 1.0
+        np.log(out, out=out)
+        out += s[:, None]
+        for b in log_rows:
+            row = out[b]
+            row[:] = x[b]
+            row[0] = np.logaddexp(carry[b], row[0])
+            np.logaddexp.accumulate(row, out=row)
+    # a block's end and the carry after it round apart, so a block can
+    # start a few ulps below the end of the one before; raise those
+    # entries to keep the ladder nondecreasing
+    flat = ladder[1:]
+    starts = flat[LADDER_BLOCK::LADDER_BLOCK]
+    ends = np.maximum.accumulate(flat[LADDER_BLOCK - 1:-1:LADDER_BLOCK])
+    for b in (starts < ends).nonzero()[0]:
+        block = flat[(b + 1) * LADDER_BLOCK:(b + 2) * LADDER_BLOCK]
+        np.maximum(block, ends[b], out=block)
     return ladder
 
 
@@ -252,12 +339,14 @@ def passive_energy_per_copy(table: WeightedLevelTable) -> float:
     the interval, taken exactly, or else (F(P_i) - F(P_{i-1})) / width
     with F the piecewise-linear integral of the energy ladder.
 
-    Both ladders and F are kept as logarithms (np.logaddexp.accumulate),
-    so no multiplicity is ever rescaled out of range: counts up to d^n
-    with n in the thousands lose nothing to underflow. Nothing that is
-    exponentiated exceeds the total mass or an energy.
+    Both ladders and F are kept as logarithms (_log_ladder): a short
+    ladder by np.logaddexp.accumulate, a long one in linear blocks whose
+    entries span at most e^LADDER_LINEAR_SPAN, joined in logs. No
+    multiplicity is ever rescaled out of range: counts up to d^n with n
+    in the thousands lose nothing to underflow. Nothing that is
+    exponentiated exceeds 1, the total mass or an energy.
 
-    Two checks, each allowing the worst-case rounding of the log ladders
+    Two checks, each allowing the worst-case rounding of the ladders
     (rows * eps * (1 + ln total count) relative), raise NoConvergenceError:
     the ladder mass sum_i p_i * width_i must match the row mass
     sum_i exp(log_prob_i + log_mult_i), and the mean of each interval that
@@ -271,13 +360,13 @@ def passive_energy_per_copy(table: WeightedLevelTable) -> float:
         raise ValidationError("table has no nonzero-probability entries")
     # probability side: log_prob descending; energy side: all levels,
     # energy ascending
-    p_order = p_idx[_sort_order(-lp[p_idx])]
-    e_order = _sort_order(en)
+    p_order, neg_lp = _sort_order(-lp[p_idx])
+    e_order, energy = _sort_order(en)
 
-    lp_p, lm_p = lp[p_order], lm[p_order]
+    lm_p = lm[p_idx[p_order]]
     P = _log_ladder(lm_p)
     P_lo, P_hi = P[:-1], P[1:]
-    energy, lm_e = en[e_order], lm[e_order]
+    lm_e = lm[e_order]
     excess = energy - energy[0]
     Q = _log_ladder(lm_e)
     # ln(count * excess) per energy row; -inf on the ground row
@@ -304,10 +393,14 @@ def passive_energy_per_copy(table: WeightedLevelTable) -> float:
     mean = energy[g]
     mean[cross] = mean_cross
 
-    mass = np.exp(lp_p + lm_p)
+    # neg_lp = -log_prob, so these are the sums log_prob + ln count
+    mass = np.exp(lm_p - neg_lp)
     row_mass = float(mass.sum())
-    ladder_mass = float(np.dot(np.exp(lp_p + P_hi), rel_width))
-    # a log ladder holds each count to ulp(ln count) ~ eps * ln(count)
+    ladder_mass = float(np.dot(np.exp(P_hi - neg_lp), rel_width))
+    # worst-case ladder rounding, relative: a log step rounds ln count by
+    # eps * ln count, and so does a linear block's x - max, as counts are
+    # >= 1 and |x - max| <= ln total; rows such steps, or rows additions
+    # of a linear running sum, stay within rows * eps * (1 + ln total)
     slack = p_idx.size * _EPS * (1.0 + float(P_hi[-1]))
     if not abs(ladder_mass - row_mass) <= slack * row_mass:
         raise NoConvergenceError(

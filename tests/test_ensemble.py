@@ -2,8 +2,10 @@ import itertools
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -180,6 +182,23 @@ class TestBuildLevelTable:
         with pytest.raises(ValidationError):
             build_level_table([1.1, -0.1, 0.0], demo_battery, 2)
 
+    @pytest.mark.parametrize("d, n", [(8, 14), (6, 24)])
+    def test_bytes_per_row_bound_the_peak(self, d, n, monkeypatch):
+        # the byte budget refuses tables by this estimate, so it must
+        # cover the real peak of an uncached build plus its merge
+        monkeypatch.setattr(ensemble, "_compositions",
+                            ensemble._CompositionCache())
+        r = np.random.default_rng(100 * d + n).dirichlet(np.ones(d))
+        tracemalloc.start()
+        try:
+            t = build_level_table(r, BatterySpec(np.arange(float(d))), n)
+            passive_energy_per_copy(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(t) > 100_000
+        assert peak <= ensemble.TABLE_BYTES_PER_ROW * len(t)
+
 
 class TestPassiveEnergyPerCopy:
     def test_single_copy_matches_battery_module(self, demo_battery,
@@ -236,6 +255,13 @@ class TestExactOracle:
         # negative ground energy
         (("0.25", "0.35", "0.3", "0.1"), ("-0.5", "0.1", "0.7", "1.3"), 40),
         (("0.2", "0.8"), ("0", "1"), 40),
+        # ladders of several linear blocks (LADDER_BLOCK rows each): the
+        # tied integer ladder (5,151 rows), a zero eigenvalue whose P
+        # ladder (91 rows) is shorter than Q (4,186) and the skewed
+        # spectrum (7,381)
+        (("0.25", "0.5", "0.25"), ("0", "1", "2"), 100),
+        (("0.7", "0.3", "0"), ("0", "0.3", "1"), 90),
+        (("0.99", "0.006", "0.004"), ("0", "0.579", "1"), 120),
     ])
     def test_matches_exact_oracle(self, spectrum, energies, n):
         bat = BatterySpec(np.array([float(x) for x in energies]))
@@ -279,6 +305,80 @@ class TestExactOracle:
         monkeypatch.setattr(ensemble, "_log_ladder", doubled_integral)
         with pytest.raises(NoConvergenceError, match="outside its energy rows"):
             passive_energy_per_copy(t)
+
+
+def _ladder_input(size):
+    """ln counts of about e^+-30 with -inf leading and inside a block; the
+    largest size also has counts near e^-1000 that end halfway through
+    block 2 (so that block spans more than LADDER_LINEAR_SPAN) and a block 3
+    whose counts exceed everything before it."""
+    block = ensemble.LADDER_BLOCK
+    x = np.random.default_rng(size).uniform(-30.0, 30.0, size)
+    x[:3] = -np.inf
+    x[size - 5:size - 3] = -np.inf
+    if size > 4 * block:
+        x[:2 * block + block // 2] -= 1000.0
+        x[3 * block:4 * block] += 100.0
+    return x
+
+
+def _mpmath_ladder(log_counts):
+    """ln of the cumulative counts, summed at 40 digits."""
+    total, out = mpmath.mpf(0), []
+    with mpmath.workdps(40):
+        for x in log_counts.tolist():
+            if x != -math.inf:
+                total += mpmath.exp(x)
+            out.append(float(mpmath.log(total)) if total else -math.inf)
+    return np.array(out)
+
+
+class TestLogLadder:
+    """The count ladder against mpmath, on both sides of one block and
+    across block joins."""
+
+    @pytest.mark.parametrize("size", [2047, 2048, 2049, 5 * 2048 + 3])
+    def test_matches_mpmath(self, size):
+        x = _ladder_input(size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ladder = ensemble._log_ladder(x)
+        assert ladder.size == size + 1 and ladder[0] == -np.inf
+        got, want = ladder[1:], _mpmath_ladder(x)
+        if size < ensemble.LADDER_BLOCK:
+            assert np.array_equal(got, np.logaddexp.accumulate(x))
+        assert np.array_equal(got == -np.inf, want == -np.inf)
+        finite = want > -np.inf
+        # the merge's slack: rows * eps * (1 + |ln count|), relative
+        bound = size * np.finfo(float).eps * (1.0 + np.abs(want[finite]).max())
+        assert np.abs(got[finite] - want[finite]).max() <= bound
+        assert (got[1:] >= got[:-1]).all()
+
+    def test_linear_blocks_span_at_most_the_limit(self):
+        x = _ladder_input(5 * 2048 + 3)
+        wide = 0
+        for blocks in ensemble._ladder_blocks(x):
+            _, linear = ensemble._linear_blocks(blocks)
+            for block, is_linear in zip(blocks, linear):
+                finite = (block > -np.inf).all()
+                span = block.max() - block.min() if finite else math.inf
+                assert is_linear == (span <= ensemble.LADDER_LINEAR_SPAN)
+                wide += finite and not is_linear
+        # blocks 0 and 4 hold -inf; block 2 is the wide one
+        assert wide == 1
+
+    def test_nondecreasing_across_joins(self, demo_battery):
+        # on the skewed n = 800 table (321,201 rows, 157 blocks) some
+        # blocks' ends and the carries after them round apart
+        t = build_level_table(SKEWED_SPECTRUM, demo_battery, 800)
+        energy_order = t.energy.argsort(kind="stable")
+        excess = t.energy[energy_order] - t.energy.min()
+        with np.errstate(divide="ignore"):
+            integral = t.log_mult[energy_order] + np.log(excess)
+        for log_counts in (t.log_mult[(-t.log_prob).argsort(kind="stable")],
+                           t.log_mult[energy_order], integral):
+            ladder = ensemble._log_ladder(log_counts)
+            assert (ladder[1:] >= ladder[:-1]).all()
 
 
 class TestBruteForceOracle:
