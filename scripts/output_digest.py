@@ -16,7 +16,10 @@ unitary, the curve to n = 4 or 3, the n = 2 entangling
 advantage, the complete-passivity report (diagonal states), evolve and
 apply_unitary; the n-copy level tables (log_prob, energy, log_mult and
 e(n)) of seeded problems at fixed (d, n) up to 118,755 rows, of a tied
-integer ladder at n = 200 and of a zero eigenvalue at n = 90; and the
+integer ladder at n = 200 and of a zero eigenvalue at n = 90; every e(n)
+of curve() on a seeded d = 6 problem to n = 12, on that zero eigenvalue
+to n = 90 and on that tied ladder to n = 100 (tables past one ladder
+block, built in the workspace a curve reuses); and the
 ergotropy, curve, simulate and oracle subcommands on the demo files,
 their exit codes, stdout, stderr and CSV. One simulate run has a
 segment whose phase overflows the float range.
@@ -136,6 +139,20 @@ def table_records(ek, rng):
         table_record(ek, f"table.{name}", table)
 
 
+def curve_records(ek, rng):
+    """Every e(n) of three curves whose largest tables run past one
+    LADDER_BLOCK (2,048 rows)."""
+    energies = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, 5))])
+    for name, populations, energies, n_max in (
+            ("d6", rng.dirichlet(np.ones(6)), energies, 12),
+            ("zero.d3", [0.7, 0.3, 0.0], np.array([0.0, 0.3, 1.0]), 90),
+            ("tied.d3", [0.25, 0.5, 0.25], np.arange(3.0), 100)):
+        result = ek.curve(ek.QuantumState.diagonal(populations),
+                          ek.BatterySpec(energies), n_max)
+        for n in result.n_values:
+            emit(f"curve.{name}.e[{n:03d}]", result.passive_energy[n])
+
+
 def table_record(ek, name, table):
     for field in ("log_prob", "energy", "log_mult"):
         emit(f"{name}.{field}", getattr(table, field))
@@ -191,6 +208,7 @@ def main():
         battery, state = random_problem(ek, rng, k)
         library_records(ek, f"state[{k:03d}].d{battery.dim}", battery, state, rng)
     table_records(ek, np.random.default_rng(SEED))
+    curve_records(ek, np.random.default_rng(SEED))
     with tempfile.TemporaryDirectory() as tmp:
         cli_records(cli, Path(tmp))
 

@@ -14,6 +14,7 @@ Exit codes: 0 ok, 2 parse/validation error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -257,7 +258,10 @@ def finite_positive_float(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not
+    change it, and its handlers look up what they call when they run."""
     parser = argparse.ArgumentParser(
         prog="ergokit",
         description="Work extraction from finite-level quantum batteries.",

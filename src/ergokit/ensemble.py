@@ -18,9 +18,20 @@ log-multiplicities: d * itemsize + 8 bytes per row (14 at d = 6, n <=
 255), in a cache bounded by COMPOSITION_CACHE_BYTES. A table's log_prob
 and energy are summed one level at a time in a fixed left-to-right order
 with elementwise operations, no BLAS call, so each row equals the scalar
-sum bit for bit. One uncached build plus its merge peaks near
+sum bit for bit. One uncached build plus its merge peaks below
 TABLE_BYTES_PER_ROW bytes per row; a table whose estimate exceeds
 TABLE_BYTE_BUDGET is refused before anything is allocated.
+
+The build and the merge write their row-sized intermediates into a
+_Workspace of preallocated rows (ufunc out=, take(out=), in-place
+operations) instead of fresh temporaries. A public call gets a workspace
+of its own and returns fresh, read-only arrays. curve first finds the
+largest feasible n, makes one workspace for that table and evaluates n
+from there down to 1: the first, largest merge touches every page of the
+workspace, and what numpy still allocates per call (argsort,
+searchsorted, nonzero) fits in memory the process has already touched,
+so smaller n take few new page faults. The arithmetic is the same
+operations in the same order as with temporaries, so e(n) keeps its bits.
 """
 
 from __future__ import annotations
@@ -38,8 +49,10 @@ from .gibbs import entropy_target, match_entropy
 
 DEFAULT_COMPOSITION_CAP = 50_000_000
 COMPOSITION_CAP_ENV = "ERGOKIT_MAX_COMPOSITIONS"
-# peak bytes of one uncached build plus its merge, per table row
-# (tracemalloc, largest of (d, n) = (8, 14), (6, 24) and (3, 1024))
+# estimated peak bytes of one uncached build plus its merge, per table
+# row; tracemalloc reads 133.5, 129.5 and 127.7 at (d, n) = (8, 14),
+# (6, 24) and (3, 1024), and a whole curve with its compositions cached
+# 117.5 and 115.5 at (8, 14) and (6, 24)
 TABLE_BYTES_PER_ROW = 200
 # build_level_table refuses a table whose estimated peak exceeds this
 TABLE_BYTE_BUDGET = 2 * 2**30
@@ -55,6 +68,8 @@ LADDER_BLOCK = 2048
 # a linear block spans at most this in ln count, so each exp(x - block
 # max) >= e^-690 stays a normal float (those end near e^-708)
 LADDER_LINEAR_SPAN = 690.0
+# row buffers passive_energy_per_copy takes from its _Workspace
+_MERGE_BUFFERS = 9
 _EPS = float(np.finfo(float).eps)
 
 
@@ -78,10 +93,46 @@ def composition_count(n: int, d: int) -> int:
     return math.comb(n + d - 1, d - 1)
 
 
-def _check_cap(required: int, cap: int, what: str, note: str = "") -> None:
+def _cap_error(required: int, cap: int, what: str,
+               note: str = "") -> CapExceededError | None:
     if required > cap:
-        raise CapExceededError(f"{required} {what} {cap}{note}",
-                               required=required, cap=cap)
+        return CapExceededError(f"{required} {what} {cap}{note}",
+                                required=required, cap=cap)
+    return None
+
+
+def _check_cap(required: int, cap: int, what: str, note: str = "") -> None:
+    error = _cap_error(required, cap, what, note)
+    if error is not None:
+        raise error
+
+
+def _table_error(n: int, d: int) -> CapExceededError | None:
+    """Why the (n, d) level table is refused, or None: its rows exceed
+    composition_cap(), or at TABLE_BYTES_PER_ROW bytes each they exceed
+    TABLE_BYTE_BUDGET."""
+    rows = composition_count(n, d)
+    return (_cap_error(rows, composition_cap(), "compositions exceed the cap",
+                       f" (override with {COMPOSITION_CAP_ENV})")
+            or _cap_error(rows * TABLE_BYTES_PER_ROW, TABLE_BYTE_BUDGET,
+                          "estimated bytes exceed the table byte budget",
+                          f" ({rows} rows at {TABLE_BYTES_PER_ROW} bytes each)"))
+
+
+def _largest_feasible_n(n_max: int, d: int) -> tuple[int, CapExceededError | None]:
+    """The largest n <= n_max whose table _table_error accepts (0 if none
+    is), and the error refusing the next n (None if n_max is accepted).
+    Rows grow with n, so the accepted n are 1..largest, found by bisection."""
+    if _table_error(n_max, d) is None:
+        return n_max, None
+    good, bad = 0, n_max
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if _table_error(mid, d) is None:
+            good = mid
+        else:
+            bad = mid
+    return good, _table_error(bad, d)
 
 
 def _composition_matrix(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -172,20 +223,42 @@ class WeightedLevelTable:
         return self.log_prob.size
 
 
+class _Workspace:
+    """Row-sized scratch arrays that one curve reuses for every n.
+
+    floats holds rows of at least rows + 1 entries: the table's log_prob
+    and energy (rows 0 and 1; absent when table is False), then
+    _MERGE_BUFFERS rows for passive_energy_per_copy, whose first two also
+    hold one level's term during the build; flags is one bool row."""
+
+    def __init__(self, rows: int, table: bool = True):
+        # whole 64-byte lines per row, so every row starts aligned alike
+        width = (rows + 8) // 8 * 8
+        self.floats = np.empty((_MERGE_BUFFERS + 2 * table, width))
+        self.flags = np.empty(width, dtype=bool)
+        self.merge = list(self.floats[-_MERGE_BUFFERS:])
+
+    def table(self, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(2, rows) views for the table's sums and one level's term, and
+        the flags."""
+        return self.floats[:2, :rows], self.floats[2:4, :rows], self.flags[:rows]
+
+
 def _validated_spectrum(spectrum, d: int) -> np.ndarray:
     r = np.asarray(spectrum, dtype=float)
     if r.ndim != 1 or r.size != d:
         raise ValidationError(
             f"spectrum must be a length-{d} vector, got shape {r.shape}")
-    if np.min(r) < 0.0:
-        raise ValidationError(f"spectrum entries must be >= 0, got min {np.min(r)!r}")
-    s = float(np.sum(r))
+    if r.min() < 0.0:
+        raise ValidationError(f"spectrum entries must be >= 0, got min {r.min()!r}")
+    s = float(r.sum())
     if abs(s - 1.0) > TRACE_TOL:
         raise ValidationError(f"spectrum must sum to 1 within {TRACE_TOL}, got {s!r}")
     return r
 
 
-def build_level_table(spectrum, battery: BatterySpec, n: int) -> WeightedLevelTable:
+def build_level_table(spectrum, battery: BatterySpec, n: int, *,
+                      _workspace: _Workspace | None = None) -> WeightedLevelTable:
     """One entry per composition of n into d parts.
 
     log_prob and energy are filled one part j at a time, left to right:
@@ -199,48 +272,58 @@ def build_level_table(spectrum, battery: BatterySpec, n: int) -> WeightedLevelTa
     composition_cap() and the estimated peak of build plus merge,
     TABLE_BYTES_PER_ROW (200) bytes per row, against TABLE_BYTE_BUDGET;
     either excess raises CapExceededError.
+
+    The table's arrays are read-only and fresh, except under curve, which
+    passes its _Workspace: they are then views of the workspace, valid
+    until the next build into it.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     d = battery.dim
     r = _validated_spectrum(spectrum, d)
+    error = _table_error(n, d)
+    if error is not None:
+        raise error
     rows = composition_count(n, d)
-    _check_cap(rows, composition_cap(),
-               "compositions exceed the cap", f" (override with {COMPOSITION_CAP_ENV})")
-    _check_cap(rows * TABLE_BYTES_PER_ROW, TABLE_BYTE_BUDGET,
-               "estimated bytes exceed the table byte budget",
-               f" ({rows} rows at {TABLE_BYTES_PER_ROW} bytes each)")
 
     counts, log_mult = _compositions.get(n, d)
     r_levels = r.tolist()
     # weights[j] = (ln r_j, eps_j) as a column, ln 0 taken as 0
-    weights = np.array([[math.log(x) if x > 0.0 else 0.0 for x in r_levels],
-                        battery.energies]).T[:, :, None]
-    sums = counts[0] * weights[0]
+    weights = np.empty((d, 2, 1))
+    weights[:, 0, 0] = [math.log(x) if x > 0.0 else 0.0 for x in r_levels]
+    weights[:, 1, 0] = battery.energies
+    if _workspace is None:
+        sums, term, flags = np.empty((2, rows)), np.empty((2, rows)), None
+    else:
+        sums, term, flags = _workspace.table(rows)
+    np.multiply(counts[0], weights[0], out=sums)
     for k, w in zip(counts[1:], weights[1:]):
-        sums += k * w
+        sums += np.multiply(k, w, out=term)
     for k, x in zip(counts, r_levels):
         if x == 0.0:
-            sums[0, k > 0] = -np.inf
+            np.copyto(sums[0], -np.inf, where=np.greater(k, 0, out=flags))
     sums.flags.writeable = False
     log_prob, total_energy = sums
     return WeightedLevelTable(n=n, dim=d, log_prob=log_prob,
                               energy=total_energy, log_mult=log_mult)
 
 
-def _sort_order(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending order of key, and key in that order; tied keys keep their
-    table order.
+def _sort_order(key: np.ndarray, out: np.ndarray,
+                flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending order of key, and key in that order (written into out);
+    tied keys keep their table order. flags is scratch of key's size.
 
     Without ties the permutation is unique, so the plain argsort is taken;
     only tied keys need the slower stable sort, which keeps the result a
     function of the table alone."""
     order = key.argsort()
-    sorted_key = key[order]
-    if (sorted_key[1:] == sorted_key[:-1]).any():
+    # every index is in range; take's default mode="raise" would gather
+    # into a fresh temporary before copying to out
+    sorted_key = key.take(order, out=out, mode="clip")
+    if np.equal(sorted_key[1:], sorted_key[:-1], out=flags[:key.size - 1]).any():
         # gathered again so that 0.0 and -0.0, which tie, keep their bits
         order = key.argsort(kind="stable")
-        sorted_key = key[order]
+        key.take(order, out=out, mode="clip")
     return order, sorted_key
 
 
@@ -262,8 +345,9 @@ def _linear_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return top, (low > -np.inf) & (low >= top - LADDER_LINEAR_SPAN)
 
 
-def _log_ladder(log_counts: np.ndarray) -> np.ndarray:
-    """ln of the cumulative counts, with ln 0 = -inf prepended.
+def _log_ladder(log_counts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """ln of the cumulative counts, with ln 0 = -inf prepended; written
+    into out (log_counts.size + 1 entries) if given.
 
     Fewer than LADDER_BLOCK counts are accumulated by np.logaddexp.accumulate.
     A longer ladder is cut into blocks of LADDER_BLOCK rows, each summed
@@ -275,7 +359,7 @@ def _log_ladder(log_counts: np.ndarray) -> np.ndarray:
     start with counts below the normal float range; it is accumulated in
     logs from c instead. No row-sized array is made besides the ladder.
     """
-    ladder = np.empty(log_counts.size + 1)
+    ladder = np.empty(log_counts.size + 1) if out is None else out
     ladder[0] = -np.inf
     if log_counts.size < LADDER_BLOCK:
         np.logaddexp.accumulate(log_counts, out=ladder[1:])
@@ -326,7 +410,8 @@ def _log_ladder(log_counts: np.ndarray) -> np.ndarray:
     return ladder
 
 
-def passive_energy_per_copy(table: WeightedLevelTable) -> float:
+def passive_energy_per_copy(table: WeightedLevelTable, *,
+                            _workspace: _Workspace | None = None) -> float:
     """(1/n) tr(sigma H) for the passive rearrangement of the n-copy
     product state, without expanding the d^n levels.
 
@@ -353,69 +438,105 @@ def passive_energy_per_copy(table: WeightedLevelTable) -> float:
     crosses energy rows must lie between the energies of the rows holding
     its ends. They catch a corrupted count ladder or energy integral; a
     wrong row index that leaves every mean inside its rows is not caught.
+
+    Intermediates go to _MERGE_BUFFERS rows of a _Workspace: curve's, or
+    else one made for this call.
     """
     lp, en, lm, n = table.log_prob, table.energy, table.log_mult, table.n
-    p_idx = (lp != -np.inf).nonzero()[0]
-    if p_idx.size == 0:
+    rows = len(table)
+    ws = _workspace if _workspace is not None else _Workspace(rows, table=False)
+    b, flags = ws.merge, ws.flags
+    # probability side: log_prob descending, i.e. -log_prob ascending; the
+    # rows of zero probability (-log_prob = inf) sort last and are left out
+    p_order, neg_lp = _sort_order(np.negative(lp, out=b[0][:rows]),
+                                  b[1][:rows], flags)
+    m = int(neg_lp.searchsorted(np.inf))
+    if m == 0:
         raise ValidationError("table has no nonzero-probability entries")
-    # probability side: log_prob descending; energy side: all levels,
-    # energy ascending
-    p_order, neg_lp = _sort_order(-lp[p_idx])
-    e_order, energy = _sort_order(en)
+    p_order, neg_lp = p_order[:m], neg_lp[:m]
+    # energy side: all levels, energy ascending
+    e_order, energy = _sort_order(en, b[2][:rows], flags)
 
-    lm_p = lm[p_idx[p_order]]
-    P = _log_ladder(lm_p)
+    lm_p = lm.take(p_order, out=b[0][:m], mode="clip")
+    P = _log_ladder(lm_p, b[3][:m + 1])
     P_lo, P_hi = P[:-1], P[1:]
-    lm_e = lm[e_order]
-    excess = energy - energy[0]
-    Q = _log_ladder(lm_e)
+    lm_e = lm.take(e_order, out=b[4][:rows], mode="clip")
+    excess = np.subtract(energy, energy[0], out=b[5][:rows])
+    Q = _log_ladder(lm_e, b[6][:rows + 1])
     # ln(count * excess) per energy row; -inf on the ground row
-    lm_e += np.log(excess, out=np.full(excess.size, -np.inf),
-                   where=excess > 0.0)
-    F = _log_ladder(lm_e)
+    log_excess = b[7][:rows]
+    log_excess.fill(-np.inf)
+    lm_e += np.log(excess, out=log_excess,
+                   where=np.greater(excess, 0.0, out=flags[:rows]))
+    F = _log_ladder(lm_e, b[7][:rows + 1])
 
     # energy row j holds the counts (Q[j], Q[j + 1]]; ladder point P_i
     # falls in row g_at[i] (row 0 for P_0 = -inf), clamped so an ulp of
     # overshoot stays in the last row; interval i ends in row g = g_at[i+1]
-    g_at = np.minimum(Q[1:].searchsorted(P), energy.size - 1)
+    g_at = Q[1:].searchsorted(P)
+    np.minimum(g_at, rows - 1, out=g_at)
     g = g_at[1:]
-    q_below = Q[g]
-    # A[i] = F(P_i) / P_i, the mean excess energy over [0, P_i)
-    A = np.empty(P.size)
+    q_below = Q.take(g, out=b[4][:m], mode="clip")
+    # A[i] = F(P_i) / P_i, the mean excess energy over [0, P_i):
+    # A[1:] = exp(F[g] - P_hi) - expm1(q_below - P_hi) * excess[g]
+    A = b[8][:m + 1]
     A[0] = 0.0
-    A[1:] = np.exp(F[g] - P_hi) - np.expm1(q_below - P_hi) * excess[g]
-    # width / P_i; an interval crosses an energy boundary iff one lies
-    # strictly above its start
-    rel_width = -np.expm1(P_lo - P_hi)
-    cross = (q_below > P_lo).nonzero()[0]
-    a_lo, a_hi, rw = A[cross], A[cross + 1], rel_width[cross]
-    mean_cross = energy[0] + (a_lo + (a_hi - a_lo) / rw)
-    mean = energy[g]
+    head = np.subtract(F.take(g, out=A[1:], mode="clip"), P_hi, out=A[1:])
+    np.exp(head, out=head)
+    tail = np.subtract(q_below, P_hi, out=b[6][:m])
+    np.expm1(tail, out=tail)
+    tail *= excess.take(g, out=b[7][:m], mode="clip")
+    head -= tail
+    # width / P_i = -expm1(P_lo - P_hi); an interval crosses an energy
+    # boundary iff one lies strictly above its start
+    rel_width = np.subtract(P_lo, P_hi, out=b[5][:m])
+    np.expm1(rel_width, out=rel_width)
+    np.negative(rel_width, out=rel_width)
+    cross = np.greater(q_below, P_lo, out=flags[:m]).nonzero()[0]
+    c = cross.size
+    # mean_cross = energy[0] + (a_lo + (a_hi - a_lo) / rw), with a_lo,
+    # a_hi and rw = A[cross], A[cross + 1] and rel_width[cross]
+    a_lo = A.take(cross, out=b[6][:c], mode="clip")
+    rw = rel_width.take(cross, out=b[4][:c], mode="clip")
+    mean_cross = A[1:].take(cross, out=b[7][:c], mode="clip")
+    mean_cross -= a_lo
+    mean_cross /= rw
+    np.add(a_lo, mean_cross, out=mean_cross)
+    np.add(energy[0], mean_cross, out=mean_cross)
+    mean = energy.take(g, out=b[6][:m], mode="clip")
     mean[cross] = mean_cross
 
     # neg_lp = -log_prob, so these are the sums log_prob + ln count
-    mass = np.exp(lm_p - neg_lp)
+    mass = np.subtract(lm_p, neg_lp, out=lm_p)
+    np.exp(mass, out=mass)
     row_mass = float(mass.sum())
-    ladder_mass = float(np.dot(np.exp(P_hi - neg_lp), rel_width))
+    p_width = np.subtract(P_hi, neg_lp, out=neg_lp)
+    np.exp(p_width, out=p_width)
+    ladder_mass = float(np.dot(p_width, rel_width))
     # worst-case ladder rounding, relative: a log step rounds ln count by
     # eps * ln count, and so does a linear block's x - max, as counts are
     # >= 1 and |x - max| <= ln total; rows such steps, or rows additions
     # of a linear running sum, stay within rows * eps * (1 + ln total)
-    slack = p_idx.size * _EPS * (1.0 + float(P_hi[-1]))
+    slack = m * _EPS * (1.0 + float(P_hi[-1]))
     if not abs(ladder_mass - row_mass) <= slack * row_mass:
         raise NoConvergenceError(
             f"passive merge lost mass: ladder {ladder_mass!r} vs rows "
-            f"{row_mass!r} over {p_idx.size} rows (n={n})")
+            f"{row_mass!r} over {m} rows (n={n})")
     # a crossing interval runs from row g_at[i] to row g_at[i + 1]; the
     # ladder errors in A and the width move its mean by a few times
-    # slack * scale / rel_width
-    stray = np.maximum(energy[g_at[cross]] - mean_cross,
-                       mean_cross - energy[g[cross]])
+    # slack * scale / rel_width:
+    # stray = max(energy[g_at[cross]] - mean_cross, mean_cross - energy[g[cross]])
+    stray = energy.take(g_at[cross], out=b[1][:c], mode="clip")
+    stray -= mean_cross
+    above = energy.take(g[cross], out=b[5][:c], mode="clip")
+    np.subtract(mean_cross, above, out=above)
+    np.maximum(stray, above, out=stray)
+    stray *= rw
     scale = abs(float(energy[0])) + abs(float(energy[-1]))
-    if not (stray * rw <= 8.0 * slack * scale).all():
+    if not np.less_equal(stray, 8.0 * slack * scale, out=flags[:c]).all():
         raise NoConvergenceError(
             f"passive merge: an interval mean lies outside its energy rows "
-            f"over {p_idx.size} rows (n={n})")
+            f"over {m} rows (n={n})")
     return float(np.dot(mass, mean)) / n
 
 
@@ -456,27 +577,32 @@ def curve(state: QuantumState, battery: BatterySpec, n_max: int) -> EnsembleCurv
 
     e(n) depends only on the spectrum of rho (conjugation-invariant);
     w(n) = tr(rho H) - e(n) uses the energy of the supplied state. If the
-    composition cap or the table byte budget is hit before n_max, raises
-    CapExceededError carrying the largest feasible n and the partial curve.
+    composition cap or the table byte budget refuses a table before n_max,
+    raises CapExceededError carrying the largest feasible n and the
+    partial curve, found before any table is built.
+
+    All n share one _Workspace sized to the largest feasible table, and n
+    runs from that one down to 1; passive_energy still lists n ascending.
     """
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
     spectrum = state.spectrum_descending
     initial = energy(state, battery)
     asymptote = match_entropy(battery, entropy_target(state, battery)).gibbs_energy
-    e: dict[int, float] = {}
-    for n in range(1, n_max + 1):
-        try:
-            table = build_level_table(spectrum, battery, n)
-        except CapExceededError as exc:
-            partial = EnsembleCurve(passive_energy=e, asymptote=asymptote,
-                                    initial_energy=initial)
-            raise CapExceededError(
-                f"curve stopped at n={n}: {exc}", required=exc.required,
-                cap=exc.cap, largest_feasible_n=n - 1, partial=partial) from exc
-        e[n] = passive_energy_per_copy(table)
-    return EnsembleCurve(passive_energy=e, asymptote=asymptote,
-                         initial_energy=initial)
+    n_top, stop = _largest_feasible_n(n_max, battery.dim)
+    # largest n first: its table and merge touch every page the curve needs
+    workspace = _Workspace(composition_count(n_top, battery.dim)) if n_top else None
+    e = [0.0] * n_top
+    for n in range(n_top, 0, -1):
+        table = build_level_table(spectrum, battery, n, _workspace=workspace)
+        e[n - 1] = passive_energy_per_copy(table, _workspace=workspace)
+    result = EnsembleCurve(passive_energy=dict(enumerate(e, start=1)),
+                           asymptote=asymptote, initial_energy=initial)
+    if stop is not None:
+        raise CapExceededError(
+            f"curve stopped at n={n_top + 1}: {stop}", required=stop.required,
+            cap=stop.cap, largest_feasible_n=n_top, partial=result) from stop
+    return result
 
 
 @dataclass(frozen=True)

@@ -287,7 +287,7 @@ class TestExactOracle:
         t = build_level_table(DEMO_SPECTRUM, demo_battery, 12)
         real = ensemble._log_ladder
         monkeypatch.setattr(ensemble, "_log_ladder",
-                            lambda counts: real(counts) + 1e-9)
+                            lambda counts, out=None: real(counts, out) + 1e-9)
         with pytest.raises(NoConvergenceError, match="lost mass"):
             passive_energy_per_copy(t)
 
@@ -298,9 +298,9 @@ class TestExactOracle:
         real = ensemble._log_ladder
         calls = []
 
-        def doubled_integral(counts):
+        def doubled_integral(counts, out=None):
             calls.append(counts.size)
-            return real(counts) + (np.log(2.0) if len(calls) == 3 else 0.0)
+            return real(counts, out) + (np.log(2.0) if len(calls) == 3 else 0.0)
 
         monkeypatch.setattr(ensemble, "_log_ladder", doubled_integral)
         with pytest.raises(NoConvergenceError, match="outside its energy rows"):
@@ -457,6 +457,62 @@ class TestCurve:
         assert partial.passive_energy[1] == pytest.approx(DEMO_PASSIVE_ENERGY,
                                                           abs=1e-12)
 
+    @pytest.mark.parametrize("spectrum, energies, n_max", [
+        # a zero eigenvalue: the P ladder is shorter than Q
+        ((0.7, 0.3, 0.0), (0.0, 0.3, 1.0), 30),
+        # tied integer ladder (stable sorts); 2,556 rows at n = 70, past
+        # one LADDER_BLOCK
+        ((0.25, 0.5, 0.25), (0.0, 1.0, 2.0), 70),
+    ])
+    def test_workspace_gives_the_fresh_tables_bits(self, spectrum, energies,
+                                                   n_max):
+        # curve reuses one workspace from n_max down; a stale entry left by
+        # a larger n would change some e(n)
+        state = QuantumState.diagonal(spectrum)
+        bat = BatterySpec(np.array(energies))
+        e = curve(state, bat, n_max).passive_energy
+        assert list(e) == list(range(1, n_max + 1))
+        _assert_fresh_bits(e, state, bat)
+
+    def test_cap_stopped_partial_has_the_fresh_tables_bits(self, demo_battery,
+                                                           monkeypatch):
+        # 2,145 rows at n = 64
+        monkeypatch.setenv("ERGOKIT_MAX_COMPOSITIONS", str(composition_count(64, 3)))
+        state = QuantumState.diagonal(SKEWED_SPECTRUM)
+        with pytest.raises(CapExceededError) as exc:
+            curve(state, demo_battery, 100)
+        assert exc.value.largest_feasible_n == 64
+        assert exc.value.required == composition_count(65, 3)
+        assert "curve stopped at n=65" in str(exc.value)
+        e = exc.value.partial.passive_energy
+        assert list(e) == list(range(1, 65))
+        _assert_fresh_bits(e, state, demo_battery)
+
+    def test_back_to_back_curves_of_different_d(self):
+        rng = np.random.default_rng(1515)
+        for d, n_max in ((6, 9), (3, 40), (6, 9)):
+            state = random_diagonal_state(rng, d)
+            bat = random_battery(rng, d)
+            _assert_fresh_bits(curve(state, bat, n_max).passive_energy, state, bat)
+
+    @pytest.mark.parametrize("d, n_max", [(8, 14), (6, 24)])
+    def test_peak_within_the_byte_estimate(self, d, n_max, monkeypatch):
+        # with its compositions cached, a whole curve stays within the
+        # estimate that the byte budget applies to its largest table
+        monkeypatch.setattr(ensemble, "_compositions",
+                            ensemble._CompositionCache())
+        for n in range(1, n_max + 1):
+            ensemble._compositions.get(n, d)
+        r = np.random.default_rng(100 * d + n_max).dirichlet(np.ones(d))
+        state, bat = QuantumState.diagonal(r), BatterySpec(np.arange(float(d)))
+        tracemalloc.start()
+        try:
+            curve(state, bat, n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ensemble.TABLE_BYTES_PER_ROW * composition_count(n_max, d)
+
     def test_structural_bounds_on_demo(self, demo_battery, demo_anti_state):
         c = curve(demo_anti_state, demo_battery, 12)
         e = c.passive_energy
@@ -465,6 +521,14 @@ class TestCurve:
                 assert e[k * n] <= e[n] + 1e-12
         for n in range(1, 12):
             assert e[n + 1] <= (n * e[n] + e[1]) / (n + 1) + 1e-12
+
+
+def _assert_fresh_bits(e, state, bat):
+    """Each e(n) of a curve equals the merge of a freshly built table."""
+    r = state.spectrum_descending
+    for n, value in e.items():
+        fresh = passive_energy_per_copy(build_level_table(r, bat, n))
+        assert value.hex() == fresh.hex(), n
 
 
 class TestCompletePassivity:
