@@ -339,10 +339,16 @@ def _ladder_blocks(a: np.ndarray) -> list[np.ndarray]:
 
 def _linear_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per block (row): its largest entry, and whether it is summed
-    linearly, i.e. it holds no -inf and spans at most LADDER_LINEAR_SPAN."""
+    linearly, i.e. its finite entries span at most LADDER_LINEAR_SPAN
+    (a -inf entry adds an exact zero to a linear sum)."""
     top = blocks.max(axis=1)
     low = blocks.min(axis=1)
-    return top, (low > -np.inf) & (low >= top - LADDER_LINEAR_SPAN)
+    holed = (low == -np.inf).nonzero()[0]
+    if holed.size:
+        # the least finite entry; +inf for a block of -inf alone
+        part = blocks[holed]
+        low[holed] = part.min(axis=1, where=part > -np.inf, initial=np.inf)
+    return top, low >= top - LADDER_LINEAR_SPAN
 
 
 def _log_ladder(log_counts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -355,9 +361,11 @@ def _log_ladder(log_counts: np.ndarray, out: np.ndarray | None = None) -> np.nda
     The carry c, ln of the counts before the block, is a
     np.logaddexp.accumulate over the block totals top + ln S[-1], and the
     block's ladder is s + ln(S e^(top - s) + e^(c - s)), s = max(top, c).
-    A block that holds -inf or spans more than LADDER_LINEAR_SPAN could
+    A block whose finite entries span more than LADDER_LINEAR_SPAN could
     start with counts below the normal float range; it is accumulated in
-    logs from c instead. No row-sized array is made besides the ladder.
+    logs from c instead. A -inf entry adds an exact zero to a linear
+    block, and the ladder's leading run of -inf, where the count is still
+    0, stays -inf. No row-sized array is made besides the ladder.
     """
     ladder = np.empty(log_counts.size + 1) if out is None else out
     ladder[0] = -np.inf
@@ -366,14 +374,14 @@ def _log_ladder(log_counts: np.ndarray, out: np.ndarray | None = None) -> np.nda
         return ladder
     parts = list(zip(_ladder_blocks(log_counts), _ladder_blocks(ladder[1:])))
     shifts, linears, totals = [], [], []
-    for x, out in parts:
+    for x, acc in parts:
         top, linear = _linear_blocks(x)
         # a block of -inf alone sums to 0 whatever its shift
         top[top == -np.inf] = 0.0
-        np.subtract(x, top[:, None], out=out)
-        np.exp(out, out=out)
-        np.cumsum(out, axis=1, out=out)
-        last = out[:, -1]
+        np.subtract(x, top[:, None], out=acc)
+        np.exp(acc, out=acc)
+        np.cumsum(acc, axis=1, out=acc)
+        last = acc[:, -1]
         totals.append(top + np.log(last, out=np.full(last.size, -np.inf),
                                    where=last > 0.0))
         shifts.append(top)
@@ -383,18 +391,20 @@ def _log_ladder(log_counts: np.ndarray, out: np.ndarray | None = None) -> np.nda
     carries[0] = -np.inf
     np.logaddexp.accumulate(totals[:-1], out=carries[1:])
     start = 0
-    for (x, out), top, linear in zip(parts, shifts, linears):
-        carry = carries[start:start + len(out)]
-        start += len(out)
+    for (x, acc), top, linear in zip(parts, shifts, linears):
+        carry = carries[start:start + len(acc)]
+        start += len(acc)
         s = np.maximum(top, carry)
-        out *= np.exp(top - s)[:, None]
-        out += np.exp(carry - s)[:, None]
+        acc *= np.exp(top - s)[:, None]
+        acc += np.exp(carry - s)[:, None]
         log_rows = (~linear).nonzero()[0]
-        out[log_rows] = 1.0
-        np.log(out, out=out)
-        out += s[:, None]
+        acc[log_rows] = 1.0
+        # the leading -inf run sums to 0 (s is finite): ln 0 = -inf
+        with np.errstate(divide="ignore"):
+            np.log(acc, out=acc)
+        acc += s[:, None]
         for b in log_rows:
-            row = out[b]
+            row = acc[b]
             row[:] = x[b]
             row[0] = np.logaddexp(carry[b], row[0])
             np.logaddexp.accumulate(row, out=row)

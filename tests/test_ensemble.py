@@ -307,15 +307,19 @@ class TestExactOracle:
             passive_energy_per_copy(t)
 
 
-def _ladder_input(size):
-    """ln counts of about e^+-30 with -inf leading and inside a block; the
-    largest size also has counts near e^-1000 that end halfway through
-    block 2 (so that block spans more than LADDER_LINEAR_SPAN) and a block 3
-    whose counts exceed everything before it."""
+def _ladder_input(size, lead=3):
+    """ln counts of about e^+-30 with a leading run of lead -inf entries
+    and -inf inside the last block; a lead past one block also puts -inf
+    at every 97th entry after it. The size above 4 blocks also has counts
+    near e^-1000 that end halfway through block 2 (so that block spans
+    more than LADDER_LINEAR_SPAN) and a block 3 whose counts exceed
+    everything before it."""
     block = ensemble.LADDER_BLOCK
     x = np.random.default_rng(size).uniform(-30.0, 30.0, size)
-    x[:3] = -np.inf
+    x[:lead] = -np.inf
     x[size - 5:size - 3] = -np.inf
+    if lead > block:
+        x[lead + 1::97] = -np.inf
     if size > 4 * block:
         x[:2 * block + block // 2] -= 1000.0
         x[3 * block:4 * block] += 100.0
@@ -337,9 +341,13 @@ class TestLogLadder:
     """The count ladder against mpmath, on both sides of one block and
     across block joins."""
 
-    @pytest.mark.parametrize("size", [2047, 2048, 2049, 5 * 2048 + 3])
-    def test_matches_mpmath(self, size):
-        x = _ladder_input(size)
+    @pytest.mark.parametrize("size, lead", [
+        (2047, 3), (2048, 3), (2049, 3), (5 * 2048 + 3, 3),
+        # a leading -inf run through the whole first block and into the
+        # second, then -inf inside the linear blocks after it
+        (3 * 2048 + 7, 2048 + 100)])
+    def test_matches_mpmath(self, size, lead):
+        x = _ladder_input(size, lead)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ladder = ensemble._log_ladder(x)
@@ -360,12 +368,14 @@ class TestLogLadder:
         for blocks in ensemble._ladder_blocks(x):
             _, linear = ensemble._linear_blocks(blocks)
             for block, is_linear in zip(blocks, linear):
-                finite = (block > -np.inf).all()
-                span = block.max() - block.min() if finite else math.inf
+                finite = block[block > -np.inf]
+                span = finite.max() - finite.min()
                 assert is_linear == (span <= ensemble.LADDER_LINEAR_SPAN)
-                wide += finite and not is_linear
-        # blocks 0 and 4 hold -inf; block 2 is the wide one
+                wide += not is_linear
+        # block 2 is the wide one; blocks 0 and 4 hold -inf and are linear
         assert wide == 1
+        # a block of -inf alone is linear: it adds nothing
+        assert ensemble._linear_blocks(np.full((1, 8), -np.inf))[1].all()
 
     def test_nondecreasing_across_joins(self, demo_battery):
         # on the skewed n = 800 table (321,201 rows, 157 blocks) some
