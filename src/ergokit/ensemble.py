@@ -119,22 +119,6 @@ def _table_error(n: int, d: int) -> CapExceededError | None:
                           f" ({rows} rows at {TABLE_BYTES_PER_ROW} bytes each)"))
 
 
-def _largest_feasible_n(n_max: int, d: int) -> tuple[int, CapExceededError | None]:
-    """The largest n <= n_max whose table _table_error accepts (0 if none
-    is), and the error refusing the next n (None if n_max is accepted).
-    Rows grow with n, so the accepted n are 1..largest, found by bisection."""
-    if _table_error(n_max, d) is None:
-        return n_max, None
-    good, bad = 0, n_max
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        if _table_error(mid, d) is None:
-            good = mid
-        else:
-            bad = mid
-    return good, _table_error(bad, d)
-
-
 def _composition_matrix(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """All compositions of n into d parts and their log-multiplicities.
 
@@ -224,7 +208,8 @@ class WeightedLevelTable:
 
 
 class _Workspace:
-    """Row-sized scratch arrays that one curve reuses for every n.
+    """Row-sized scratch arrays for build_level_table and
+    passive_energy_per_copy; curve makes one and reuses it for every n.
 
     floats holds rows of at least rows + 1 entries: the table's log_prob
     and energy (rows 0 and 1; absent when table is False), then
@@ -599,16 +584,19 @@ def curve(state: QuantumState, battery: BatterySpec, n_max: int) -> EnsembleCurv
     spectrum = state.spectrum_descending
     initial = energy(state, battery)
     asymptote = match_entropy(battery, entropy_target(state, battery)).gibbs_energy
-    n_top, stop = _largest_feasible_n(n_max, battery.dim)
+    d = battery.dim
+    n_top = 0
+    while n_top < n_max and (stop := _table_error(n_top + 1, d)) is None:
+        n_top += 1
     # largest n first: its table and merge touch every page the curve needs
-    workspace = _Workspace(composition_count(n_top, battery.dim)) if n_top else None
+    workspace = _Workspace(composition_count(n_top, d)) if n_top else None
     e = [0.0] * n_top
     for n in range(n_top, 0, -1):
         table = build_level_table(spectrum, battery, n, _workspace=workspace)
         e[n - 1] = passive_energy_per_copy(table, _workspace=workspace)
     result = EnsembleCurve(passive_energy=dict(enumerate(e, start=1)),
                            asymptote=asymptote, initial_energy=initial)
-    if stop is not None:
+    if n_top < n_max:
         raise CapExceededError(
             f"curve stopped at n={n_top + 1}: {stop}", required=stop.required,
             cap=stop.cap, largest_feasible_n=n_top, partial=result) from stop
