@@ -142,9 +142,9 @@ def table_records(ek, rng):
 def curve_records(ek, rng):
     """Every e(n) of three curves whose largest tables run past one
     LADDER_BLOCK (2,048 rows)."""
-    energies = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, 5))])
+    d6_energies = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, 5))])
     for name, populations, energies, n_max in (
-            ("d6", rng.dirichlet(np.ones(6)), energies, 12),
+            ("d6", rng.dirichlet(np.ones(6)), d6_energies, 12),
             ("zero.d3", [0.7, 0.3, 0.0], np.array([0.0, 0.3, 1.0]), 90),
             ("tied.d3", [0.25, 0.5, 0.25], np.arange(3.0), 100)):
         result = ek.curve(ek.QuantumState.diagonal(populations),

@@ -585,7 +585,9 @@ def curve(state: QuantumState, battery: BatterySpec, n_max: int) -> EnsembleCurv
     initial = energy(state, battery)
     asymptote = match_entropy(battery, entropy_target(state, battery)).gibbs_energy
     d = battery.dim
-    n_top = 0
+    # rows grow with n: one check if n_max fits, else a scan from n = 1 up
+    # to the first refused table
+    n_top = n_max if _table_error(n_max, d) is None else 0
     while n_top < n_max and (stop := _table_error(n_top + 1, d)) is None:
         n_top += 1
     # largest n first: its table and merge touch every page the curve needs
