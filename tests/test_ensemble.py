@@ -342,10 +342,11 @@ class TestLogLadder:
     across block joins."""
 
     @pytest.mark.parametrize("size, lead", [
-        (2047, 3), (2048, 3), (2049, 3), (5 * 2048 + 3, 3),
+        *(pytest.param(size, 3, id=str(size))
+          for size in (2047, 2048, 2049, 5 * 2048 + 3)),
         # a leading -inf run through the whole first block and into the
         # second, then -inf inside the linear blocks after it
-        (3 * 2048 + 7, 2048 + 100)])
+        pytest.param(3 * 2048 + 7, 2048 + 100, id="6151-lead2148")])
     def test_matches_mpmath(self, size, lead):
         x = _ladder_input(size, lead)
         with warnings.catch_warnings():
