@@ -18,8 +18,11 @@ apply_unitary; the n-copy level tables (log_prob, energy, log_mult and
 e(n)) of seeded problems at fixed (d, n) up to 118,755 rows, of a tied
 integer ladder at n = 200 and of a zero eigenvalue at n = 90; every e(n)
 of curve() on a seeded d = 6 problem to n = 12, on that zero eigenvalue
-to n = 90 and on that tied ladder to n = 100 (tables past one ladder
-block, built in the workspace a curve reuses); and the
+to n = 90, on that tied ladder to n = 100 (tables past one ladder block,
+built in the workspace a curve reuses), on the geometric spectrum
+(4, 2, 1)/7 with ground energy 0.3 to n = 40 (near ties, so the sort
+orders a curve hands from n to n - 1 fail their check and it sorts
+afresh) and on the unit-trace qutrit demo to n = 200; and the
 ergotropy, curve, simulate and oracle subcommands on the demo files,
 their exit codes, stdout, stderr and CSV. One simulate run has a
 segment whose phase overflows the float range.
@@ -140,13 +143,17 @@ def table_records(ek, rng):
 
 
 def curve_records(ek, rng):
-    """Every e(n) of three curves whose largest tables run past one
-    LADDER_BLOCK (2,048 rows)."""
+    """Every e(n) of five curves whose largest tables run past one
+    LADDER_BLOCK (2,048 rows), but for the geometric one (861 rows)."""
     d6_energies = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, 5))])
+    demo = np.array([0.538, 0.237, 0.224])
     for name, populations, energies, n_max in (
             ("d6", rng.dirichlet(np.ones(6)), d6_energies, 12),
             ("zero.d3", [0.7, 0.3, 0.0], np.array([0.0, 0.3, 1.0]), 90),
-            ("tied.d3", [0.25, 0.5, 0.25], np.arange(3.0), 100)):
+            ("tied.d3", [0.25, 0.5, 0.25], np.arange(3.0), 100),
+            ("geometric.d3", np.array([4.0, 2.0, 1.0]) / 7.0,
+             np.array([0.3, 0.8, 1.7]), 40),
+            ("unit_demo.d3", demo / demo.sum(), np.array([0.0, 0.579, 1.0]), 200)):
         result = ek.curve(ek.QuantumState.diagonal(populations),
                           ek.BatterySpec(energies), n_max)
         for n in result.n_values:

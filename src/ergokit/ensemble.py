@@ -1,37 +1,30 @@
 """Exact per-copy passive energies for n independent battery copies.
 
-The spectrum of the n-fold product state and of the sum Hamiltonian both
-depend on a configuration |i_1 ... i_n> only through its type class: the
-composition (k_1, ..., k_d) counting how often each level occurs. One
-table entry per composition, carrying a log-probability, a total energy,
-and a log-multinomial multiplicity, replaces the d^n level expansion with
-C(n+d-1, d-1) rows. Probabilities and multiplicities stay in the log
-domain; only ratios bounded by the total mass are ever exponentiated.
-The merge's cumulative count ladders are summed linearly within blocks
-of LADDER_BLOCK rows, each relative to its largest count and spanning at
-most e^LADDER_LINEAR_SPAN, and the blocks are joined in logs, so no
+The n-fold product state and the sum Hamiltonian depend on a
+configuration |i_1 ... i_n> only through its composition (k_1, ..., k_d),
+the count of each level. One table row per composition, carrying a
+log-probability, a total energy and a log-multinomial multiplicity,
+replaces the d^n levels with C(n+d-1, d-1) rows. Probabilities and
+multiplicities stay in the log domain; the merge's count ladders are
+summed linearly in blocks of LADDER_BLOCK rows joined in logs, so no
 count is rescaled out of the normal float range.
 
-The compositions of (n, d) are cached as a read-only (d, rows) count
-array of the smallest unsigned dtype that holds n, beside their
-log-multiplicities: d * itemsize + 8 bytes per row (14 at d = 6, n <=
-255), in a cache bounded by COMPOSITION_CACHE_BYTES. A table's log_prob
-and energy are summed one level at a time in a fixed left-to-right order
-with elementwise operations, no BLAS call, so each row equals the scalar
-sum bit for bit. One uncached build plus its merge peaks below
-TABLE_BYTES_PER_ROW bytes per row; a table whose estimate exceeds
+Compositions are cached as a read-only (d, rows) count array of the
+smallest unsigned dtype that holds n, beside their log-multiplicities.
+They are lexicographic with k_1 varying slowest, so those of n are the
+last rows(n) columns of those of any n' > n, with k_1 lowered by n' - n:
+a cache miss is derived from a larger entry, and a curve enumerates only
+its largest n. Table rows are summed one level at a time, left to right,
+with no BLAS call, so each equals the scalar sum bit for bit. A table
+whose estimated peak, TABLE_BYTES_PER_ROW per row, exceeds
 TABLE_BYTE_BUDGET is refused before anything is allocated.
 
-The build and the merge write their row-sized intermediates into a
-_Workspace of preallocated rows (ufunc out=, take(out=), in-place
-operations) instead of fresh temporaries. A public call gets a workspace
-of its own and returns fresh, read-only arrays. curve first finds the
-largest feasible n, makes one workspace for that table and evaluates n
-from there down to 1: the first, largest merge touches every page of the
-workspace, and what numpy still allocates per call (argsort,
-searchsorted, nonzero) fits in memory the process has already touched,
-so smaller n take few new page faults. The arithmetic is the same
-operations in the same order as with temporaries, so e(n) keeps its bits.
+curve evaluates n from its largest feasible n down to 1 in one
+_Workspace of row buffers, which the build and the merge write into with
+the same operations, in the same order, as with temporaries. Each merge
+hands its two sort orders down to the next, smaller table: the indices
+of the shared columns, shifted down, are that table's order whenever the
+keys they gather ascend with ties in index order, which is checked.
 """
 
 from __future__ import annotations
@@ -50,9 +43,9 @@ from .gibbs import entropy_target, match_entropy
 DEFAULT_COMPOSITION_CAP = 50_000_000
 COMPOSITION_CAP_ENV = "ERGOKIT_MAX_COMPOSITIONS"
 # estimated peak bytes of one uncached build plus its merge, per table
-# row; tracemalloc reads 133.5, 129.5 and 127.7 at (d, n) = (8, 14),
+# row; tracemalloc reads 141.6, 139.1 and 139.0 at (d, n) = (8, 14),
 # (6, 24) and (3, 1024), and a whole curve with its compositions cached
-# 117.5 and 115.5 at (8, 14) and (6, 24)
+# 111.1 and 116.3 at (8, 14) and (6, 24)
 TABLE_BYTES_PER_ROW = 200
 # build_level_table refuses a table whose estimated peak exceeds this
 TABLE_BYTE_BUDGET = 2 * 2**30
@@ -62,12 +55,13 @@ BRUTE_FORCE_CAP = 10_000_000
 DIAGONAL_TOL = 1e-10
 # complete_passivity_check: per-copy work above this times n is active
 ACTIVE_WORK_TOL = 1e-9
-# _log_ladder sums ladders of at least this many rows in linear blocks of
-# this many rows
+# _log_ladder sums ladders of this many rows or more in blocks this long
 LADDER_BLOCK = 2048
 # a linear block spans at most this in ln count, so each exp(x - block
 # max) >= e^-690 stays a normal float (those end near e^-708)
 LADDER_LINEAR_SPAN = 690.0
+# _composition_entry gathers log-factorials in blocks of this many columns
+_GATHER_COLUMNS = 16384
 # row buffers passive_energy_per_copy takes from its _Workspace
 _MERGE_BUFFERS = 9
 _EPS = float(np.finfo(float).eps)
@@ -95,16 +89,8 @@ def composition_count(n: int, d: int) -> int:
 
 def _cap_error(required: int, cap: int, what: str,
                note: str = "") -> CapExceededError | None:
-    if required > cap:
-        return CapExceededError(f"{required} {what} {cap}{note}",
-                                required=required, cap=cap)
-    return None
-
-
-def _check_cap(required: int, cap: int, what: str, note: str = "") -> None:
-    error = _cap_error(required, cap, what, note)
-    if error is not None:
-        raise error
+    return (CapExceededError(f"{required} {what} {cap}{note}", required=required,
+                             cap=cap) if required > cap else None)
 
 
 def _table_error(n: int, d: int) -> CapExceededError | None:
@@ -120,12 +106,9 @@ def _table_error(n: int, d: int) -> CapExceededError | None:
 
 
 def _composition_matrix(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """All compositions of n into d parts and their log-multiplicities.
-
-    counts is a read-only (d, rows) array of np.min_scalar_type(n); its
-    column i is composition i, lexicographic in (k_1, ..., k_d).
-    log_mult[i] = ln(n!) - (ln k_1! + ... + ln k_d!), summed left to right.
-    """
+    """All compositions of n into d parts and their log-multiplicities
+    (_composition_entry): column i of the (d, rows) counts is composition
+    i, lexicographic in (k_1, ..., k_d)."""
     dtype = np.min_scalar_type(n)
     # blocks[m]: compositions of m into j parts. Those into j parts are
     # k_1 = 0..m, each followed by the (j-1)-part compositions of m - k_1;
@@ -142,11 +125,22 @@ def _composition_matrix(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
             K[0] = np.repeat(np.arange(m + 1, dtype=dtype), tail_sizes)
             np.concatenate(blocks[m::-1], axis=1, out=K[1:])
             blocks[m] = K
-    counts = blocks[n]
+    return _composition_entry(blocks[n], n)
+
+
+def _composition_entry(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """counts, of np.min_scalar_type(n), and log_mult = ln(n!) - (ln k_1!
+    + ... + ln k_d!), summed left to right, both made read-only. The
+    log-factorials are gathered _GATHER_COLUMNS columns at a time, which
+    bounds take's intp copy of the indices and the term buffer."""
     log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
-    log_mult = log_fact[counts[0]]
-    for k in counts[1:]:
-        log_mult += log_fact[k]
+    rows = counts.shape[1]
+    log_mult, term = np.empty(rows), np.empty(min(rows, _GATHER_COLUMNS))
+    for at in range(0, rows, _GATHER_COLUMNS):
+        part = log_mult[at:at + _GATHER_COLUMNS]
+        log_fact.take(counts[0, at:at + part.size], out=part, mode="clip")
+        for k in counts[1:, at:at + part.size]:
+            part += log_fact.take(k, out=term[:part.size], mode="clip")
     np.subtract(log_fact[n], log_mult, out=log_mult)
     counts.flags.writeable = False
     log_mult.flags.writeable = False
@@ -157,32 +151,44 @@ class _CompositionCache:
     """_composition_matrix results by (n, d), least recently used first.
 
     Holds at most COMPOSITION_CACHE_BYTES; an entry larger than that is
-    returned but not kept."""
+    returned but not kept. A miss is derived from top, the (n', entry) of
+    a curve's largest n, else from the cached entry of the least larger
+    n', and enumerated only without either: the compositions of n are the
+    last columns of those of n', with k_1 lowered by n' - n."""
 
     def __init__(self):
         self.entries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self.nbytes = 0
         self.misses = 0
 
-    def get(self, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    def get(self, n: int, d: int, top=None) -> tuple[np.ndarray, np.ndarray]:
         key = (n, d)
         entry = self.entries.pop(key, None)
         if entry is not None:
             self.entries[key] = entry
             return entry
+        if top is not None and top[0] == n:     # a curve's own, too large to keep
+            return top[1]
         self.misses += 1
-        entry = _composition_matrix(n, d)
-        size = _nbytes(entry)
+        if top is None:
+            larger = min((m for m, dim in self.entries if dim == d and m > n), default=0)
+            top = (larger, self.entries[larger, d]) if larger else None
+        if top is None:
+            entry = _composition_matrix(n, d)
+        else:
+            tail = top[1][0][:, -composition_count(n, d):]
+            counts = np.empty(tail.shape, dtype=np.min_scalar_type(n))
+            np.subtract(tail[0], top[0] - n, out=counts[0])
+            counts[1:] = tail[1:]
+            entry = _composition_entry(counts, n)
+        size = sum(a.nbytes for a in entry)
         if size <= COMPOSITION_CACHE_BYTES:
             while self.nbytes + size > COMPOSITION_CACHE_BYTES:
-                self.nbytes -= _nbytes(self.entries.pop(next(iter(self.entries))))
+                oldest = self.entries.pop(next(iter(self.entries)))
+                self.nbytes -= sum(a.nbytes for a in oldest)
             self.entries[key] = entry
             self.nbytes += size
         return entry
-
-
-def _nbytes(arrays) -> int:
-    return sum(a.nbytes for a in arrays)
 
 
 _compositions = _CompositionCache()
@@ -208,25 +214,34 @@ class WeightedLevelTable:
 
 
 class _Workspace:
-    """Row-sized scratch arrays for build_level_table and
-    passive_energy_per_copy; curve makes one and reuses it for every n.
+    """Row buffers for build_level_table and passive_energy_per_copy, and
+    what curve, which reuses one for every n, carries from n to n - 1.
 
     floats holds rows of at least rows + 1 entries: the table's log_prob
-    and energy (rows 0 and 1; absent when table is False), then
-    _MERGE_BUFFERS rows for passive_energy_per_copy, whose first two also
-    hold one level's term during the build; flags is one bool row."""
+    and energy, then _MERGE_BUFFERS rows for passive_energy_per_copy,
+    whose first two also hold one level's term during the build; flags is
+    one bool row. curve sets levels (_level_weights) and top, its largest
+    n and that n's compositions. orders are the merge's two sort orders,
+    handed down: None before the first merge, False after a fallback."""
 
-    def __init__(self, rows: int, table: bool = True):
+    def __init__(self, rows: int):
         # whole 64-byte lines per row, so every row starts aligned alike
         width = (rows + 8) // 8 * 8
-        self.floats = np.empty((_MERGE_BUFFERS + 2 * table, width))
+        self.floats = np.empty((_MERGE_BUFFERS + 2, width))
         self.flags = np.empty(width, dtype=bool)
-        self.merge = list(self.floats[-_MERGE_BUFFERS:])
+        self.merge = list(self.floats[2:])
+        self.levels = self.top = None
+        self.orders = [None, None]
 
-    def table(self, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(2, rows) views for the table's sums and one level's term, and
-        the flags."""
-        return self.floats[:2, :rows], self.floats[2:4, :rows], self.flags[:rows]
+    def hand_down(self, rows: int) -> None:
+        """Cut the orders to the next, nested table of rows rows: its
+        columns are this one's last, so keep those indices, shifted down."""
+        for side, kept in enumerate(self.orders):
+            if isinstance(kept, np.ndarray):
+                shift = kept.size - rows
+                order = kept[np.greater_equal(kept, shift, out=self.flags[:kept.size])]
+                order -= shift
+                self.orders[side] = order
 
 
 def _validated_spectrum(spectrum, d: int) -> np.ndarray:
@@ -242,51 +257,51 @@ def _validated_spectrum(spectrum, d: int) -> np.ndarray:
     return r
 
 
+def _level_weights(spectrum, battery: BatterySpec) -> tuple[np.ndarray, list[int]]:
+    """The validated spectrum's weights[j] = (ln r_j, eps_j) as a column,
+    ln 0 taken as 0, and the levels j with r_j = 0."""
+    r_levels = _validated_spectrum(spectrum, battery.dim).tolist()
+    weights = np.empty((battery.dim, 2, 1))
+    weights[:, 0, 0] = [math.log(x) if x > 0.0 else 0.0 for x in r_levels]
+    weights[:, 1, 0] = battery.energies
+    return weights, [j for j, x in enumerate(r_levels) if x == 0.0]
+
+
 def build_level_table(spectrum, battery: BatterySpec, n: int, *,
                       _workspace: _Workspace | None = None) -> WeightedLevelTable:
     """One entry per composition of n into d parts.
 
-    log_prob and energy are filled one part j at a time, left to right:
-    each row is k_1 x_1 + k_2 x_2 + ... + k_d x_d in float64 with x_j =
-    math.log(r_j) or eps_j, bit for bit the scalar sum in that order. No
-    BLAS call runs, so the bits do not depend on the CPU's kernels. A
-    zero eigenvalue contributes 0 and turns every row that uses it to
-    -inf. log_mult is the cached entry of (n, d).
+    Each row of log_prob and energy is k_1 x_1 + ... + k_d x_d, summed one
+    part at a time, left to right, in float64 with x_j = math.log(r_j) or
+    eps_j: bit for bit the scalar sum, with no BLAS call, so the bits do
+    not depend on the CPU's kernels. A zero eigenvalue contributes 0 and
+    turns every row that uses it to -inf. log_mult is the cached entry of
+    (n, d).
 
     Before anything is allocated, the rows are checked against
     composition_cap() and the estimated peak of build plus merge,
     TABLE_BYTES_PER_ROW (200) bytes per row, against TABLE_BYTE_BUDGET;
     either excess raises CapExceededError.
 
-    The table's arrays are read-only and fresh, except under curve, which
-    passes its _Workspace: they are then views of the workspace, valid
-    until the next build into it.
+    The arrays are read-only and fresh, except under curve, whose
+    _Workspace supplies the weights, the compositions to derive from and
+    the rows: the table is then a view, valid until the next build.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    d = battery.dim
-    r = _validated_spectrum(spectrum, d)
-    error = _table_error(n, d)
-    if error is not None:
+    d, ws = battery.dim, _workspace
+    weights, zero_levels = ws.levels if ws else _level_weights(spectrum, battery)
+    if error := _table_error(n, d):
         raise error
     rows = composition_count(n, d)
-
-    counts, log_mult = _compositions.get(n, d)
-    r_levels = r.tolist()
-    # weights[j] = (ln r_j, eps_j) as a column, ln 0 taken as 0
-    weights = np.empty((d, 2, 1))
-    weights[:, 0, 0] = [math.log(x) if x > 0.0 else 0.0 for x in r_levels]
-    weights[:, 1, 0] = battery.energies
-    if _workspace is None:
-        sums, term, flags = np.empty((2, rows)), np.empty((2, rows)), None
-    else:
-        sums, term, flags = _workspace.table(rows)
+    counts, log_mult = _compositions.get(n, d, ws.top if ws else None)
+    sums, term, flags = ((ws.floats[:2, :rows], ws.floats[2:4, :rows], ws.flags[:rows])
+                         if ws else (np.empty((2, rows)), np.empty((2, rows)), None))
     np.multiply(counts[0], weights[0], out=sums)
     for k, w in zip(counts[1:], weights[1:]):
         sums += np.multiply(k, w, out=term)
-    for k, x in zip(counts, r_levels):
-        if x == 0.0:
-            np.copyto(sums[0], -np.inf, where=np.greater(k, 0, out=flags))
+    for j in zero_levels:
+        np.copyto(sums[0], -np.inf, where=np.greater(counts[j], 0, out=flags))
     sums.flags.writeable = False
     log_prob, total_energy = sums
     return WeightedLevelTable(n=n, dim=d, log_prob=log_prob,
@@ -309,6 +324,28 @@ def _sort_order(key: np.ndarray, out: np.ndarray,
         # gathered again so that 0.0 and -0.0, which tie, keep their bits
         order = key.argsort(kind="stable")
         key.take(order, out=out, mode="clip")
+    return order, sorted_key
+
+
+def _merge_order(ws: _Workspace, side: int, key: np.ndarray, out: np.ndarray,
+                 flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_sort_order(key, out, flags), or ws.orders[side], the order handed
+    down from the last merge, when the keys it gathers ascend with ties in
+    index order, which makes it _sort_order's one permutation. The first
+    merge keeps its orders there; a failed check ends that side's hand-down."""
+    kept = ws.orders[side]
+    if isinstance(kept, np.ndarray) and kept.size == key.size:
+        sorted_key = key.take(kept, out=out, mode="clip")
+        down = np.less_equal(sorted_key[1:], sorted_key[:-1], out=flags[:key.size - 1])
+        at = down.nonzero()[0] if down.any() else None
+        if at is None or (np.array_equal(sorted_key[at + 1], sorted_key[at])
+                          and (kept[at + 1] > kept[at]).all()):
+            return kept, sorted_key
+    order, sorted_key = _sort_order(key, out, flags)
+    if kept is None:
+        # int32 halves what is kept; TABLE_BYTE_BUDGET keeps rows far below 2^31
+        order = order.astype(np.int32)
+    ws.orders[side] = order if kept is None else False
     return order, sorted_key
 
 
@@ -341,16 +378,15 @@ def _log_ladder(log_counts: np.ndarray, out: np.ndarray | None = None) -> np.nda
     into out (log_counts.size + 1 entries) if given.
 
     Fewer than LADDER_BLOCK counts are accumulated by np.logaddexp.accumulate.
-    A longer ladder is cut into blocks of LADDER_BLOCK rows, each summed
-    linearly: S = cumsum(exp(x - top)), top the block's largest entry.
-    The carry c, ln of the counts before the block, is a
-    np.logaddexp.accumulate over the block totals top + ln S[-1], and the
-    block's ladder is s + ln(S e^(top - s) + e^(c - s)), s = max(top, c).
-    A block whose finite entries span more than LADDER_LINEAR_SPAN could
-    start with counts below the normal float range; it is accumulated in
-    logs from c instead. A -inf entry adds an exact zero to a linear
-    block, and the ladder's leading run of -inf, where the count is still
-    0, stays -inf. No row-sized array is made besides the ladder.
+    Longer ladders are summed linearly in blocks of LADDER_BLOCK rows, S =
+    cumsum(exp(x - top)) with top the block's largest entry; with c the
+    carry, ln of the counts before the block, from np.logaddexp.accumulate
+    over the block totals, a block's ladder is s + ln(S e^(top - s) +
+    e^(c - s)), s = max(top, c). A block whose finite entries span more
+    than LADDER_LINEAR_SPAN could start below the normal float range, so
+    it is accumulated in logs from c. A -inf entry adds an exact zero, and
+    the leading run of -inf, where the count is still 0, stays -inf. No
+    row-sized array is made besides the ladder.
     """
     ladder = np.empty(log_counts.size + 1) if out is None else out
     ladder[0] = -np.inf
@@ -412,45 +448,39 @@ def passive_energy_per_copy(table: WeightedLevelTable, *,
 
     The passive state puts the largest probabilities on the lowest
     energies. On the count axis, probability row i (log_prob descending)
-    occupies [P_{i-1}, P_i), P the cumulative multiplicity, and the
-    energy rows (ascending) tile the same axis with their own ladder Q.
-    Row i contributes its mass exp(log_prob + log_mult) times the mean
-    energy over its interval: the energy of the one energy row that holds
-    the interval, taken exactly, or else (F(P_i) - F(P_{i-1})) / width
-    with F the piecewise-linear integral of the energy ladder.
-
-    Both ladders and F are kept as logarithms (_log_ladder): a short
-    ladder by np.logaddexp.accumulate, a long one in linear blocks whose
-    entries span at most e^LADDER_LINEAR_SPAN, joined in logs. No
-    multiplicity is ever rescaled out of range: counts up to d^n with n
-    in the thousands lose nothing to underflow. Nothing that is
+    occupies [P_{i-1}, P_i), P the cumulative multiplicity, and the energy
+    rows (ascending) tile the same axis with their own ladder Q. Row i
+    contributes its mass exp(log_prob + log_mult) times its interval's
+    mean energy: that of the one energy row holding the interval, or else
+    (F(P_i) - F(P_{i-1})) / width, F the integral of the energy ladder.
+    The ladders are kept as logarithms (_log_ladder), so counts up to d^n
+    with n in the thousands lose nothing to underflow, and nothing that is
     exponentiated exceeds 1, the total mass or an energy.
 
     Two checks, each allowing the worst-case rounding of the ladders
     (rows * eps * (1 + ln total count) relative), raise NoConvergenceError:
     the ladder mass sum_i p_i * width_i must match the row mass
     sum_i exp(log_prob_i + log_mult_i), and the mean of each interval that
-    crosses energy rows must lie between the energies of the rows holding
-    its ends. They catch a corrupted count ladder or energy integral; a
-    wrong row index that leaves every mean inside its rows is not caught.
+    crosses energy rows must lie between the energies of its end rows.
+    They catch a corrupted count ladder or energy integral, not a wrong
+    row index that leaves every mean inside its rows.
 
-    Intermediates go to _MERGE_BUFFERS rows of a _Workspace: curve's, or
-    else one made for this call.
+    Intermediates go to a _Workspace: curve's, or one made for this call.
     """
     lp, en, lm, n = table.log_prob, table.energy, table.log_mult, table.n
     rows = len(table)
-    ws = _workspace if _workspace is not None else _Workspace(rows, table=False)
+    ws = _workspace if _workspace is not None else _Workspace(rows)
     b, flags = ws.merge, ws.flags
     # probability side: log_prob descending, i.e. -log_prob ascending; the
     # rows of zero probability (-log_prob = inf) sort last and are left out
-    p_order, neg_lp = _sort_order(np.negative(lp, out=b[0][:rows]),
-                                  b[1][:rows], flags)
+    p_order, neg_lp = _merge_order(ws, 0, np.negative(lp, out=b[0][:rows]),
+                                   b[1][:rows], flags)
     m = int(neg_lp.searchsorted(np.inf))
     if m == 0:
         raise ValidationError("table has no nonzero-probability entries")
     p_order, neg_lp = p_order[:m], neg_lp[:m]
     # energy side: all levels, energy ascending
-    e_order, energy = _sort_order(en, b[2][:rows], flags)
+    e_order, energy = _merge_order(ws, 1, en, b[2][:rows], flags)
 
     lm_p = lm.take(p_order, out=b[0][:m], mode="clip")
     P = _log_ladder(lm_p, b[3][:m + 1])
@@ -576,8 +606,11 @@ def curve(state: QuantumState, battery: BatterySpec, n_max: int) -> EnsembleCurv
     raises CapExceededError carrying the largest feasible n and the
     partial curve, found before any table is built.
 
-    All n share one _Workspace sized to the largest feasible table, and n
-    runs from that one down to 1; passive_energy still lists n ascending.
+    n runs from the largest feasible n down to 1 in one _Workspace sized
+    to that table. It holds the spectrum's weights, validated once; that
+    n's compositions, the only ones enumerated, held even when too large
+    to cache; and the sort orders each merge hands down to the next.
+    passive_energy still lists n ascending.
     """
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
@@ -591,11 +624,16 @@ def curve(state: QuantumState, battery: BatterySpec, n_max: int) -> EnsembleCurv
     while n_top < n_max and (stop := _table_error(n_top + 1, d)) is None:
         n_top += 1
     # largest n first: its table and merge touch every page the curve needs
-    workspace = _Workspace(composition_count(n_top, d)) if n_top else None
+    if n_top:
+        workspace = _Workspace(composition_count(n_top, d))
+        workspace.levels = _level_weights(spectrum, battery)
+        workspace.top = n_top, _compositions.get(n_top, d)
     e = [0.0] * n_top
     for n in range(n_top, 0, -1):
         table = build_level_table(spectrum, battery, n, _workspace=workspace)
         e[n - 1] = passive_energy_per_copy(table, _workspace=workspace)
+        if n > 1:
+            workspace.hand_down(composition_count(n - 1, d))
     result = EnsembleCurve(passive_energy=dict(enumerate(e, start=1)),
                            asymptote=asymptote, initial_energy=initial)
     if n_top < n_max:
@@ -625,8 +663,9 @@ def complete_passivity_check(state: QuantumState, battery: BatterySpec,
     so a cap hit raises its CapExceededError with the partial curve. Also
     reports a direct Gibbs-form fit of ln(populations) against the
     energies: least-squares beta with RMS residual. A zero population is
-    incompatible with any finite-beta Gibbs form, so the residual is infinite then, except for
-    the pure ground state which is reported as the beta = infinity limit.
+    incompatible with any finite-beta Gibbs form, so the residual is
+    infinite then, except for the pure ground state, reported as the
+    beta = infinity limit.
     """
     if n_max < 2:
         raise ValidationError(f"n_max must be >= 2, got {n_max}")
@@ -641,9 +680,7 @@ def complete_passivity_check(state: QuantumState, battery: BatterySpec,
     pops = state.diagonal_populations()
     positive = pops > 0.0
     if int(np.count_nonzero(positive)) == 1:
-        ground_only = bool(positive[0])
-        fit_beta = math.inf
-        fit_residual = 0.0 if ground_only else math.inf
+        fit_beta, fit_residual = math.inf, (0.0 if positive[0] else math.inf)
     else:
         x = battery.energies[positive]
         y = np.log(pops[positive])
@@ -654,20 +691,18 @@ def complete_passivity_check(state: QuantumState, battery: BatterySpec,
         if not np.all(positive):
             fit_residual = math.inf
 
-    return CompletePassivityReport(
-        is_gibbs_like=first_active is None,
-        first_active_n=first_active,
-        fit_beta=fit_beta,
-        fit_residual=fit_residual,
-        work=work,
-    )
+    return CompletePassivityReport(is_gibbs_like=first_active is None,
+                                   first_active_n=first_active, fit_beta=fit_beta,
+                                   fit_residual=fit_residual, work=work)
 
 
 def _product_expansion(factor: np.ndarray, n: int, ufunc, unit: float) -> np.ndarray:
     """factor combined with itself n times by ufunc.outer, flattened."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    _check_cap(factor.size ** n, BRUTE_FORCE_CAP, "levels exceed the brute-force cap")
+    if error := _cap_error(factor.size ** n, BRUTE_FORCE_CAP,
+                           "levels exceed the brute-force cap"):
+        raise error
     out = np.array([unit])
     for _ in range(n):
         out = ufunc.outer(out, factor).ravel()

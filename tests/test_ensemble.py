@@ -679,3 +679,122 @@ class TestEnvironmentCap:
             build_level_table(DEMO_SPECTRUM, demo_battery, 10)
         monkeypatch.setenv("ERGOKIT_MAX_COMPOSITIONS", "1000")
         build_level_table(DEMO_SPECTRUM, demo_battery, 10)
+
+
+class TestNestedTables:
+    """A curve enumerates only its largest n and hands each merge's sort
+    orders down to the next, smaller table; neither may move a bit."""
+
+    @staticmethod
+    def _assert_same_entry(entry, n, d):
+        counts, log_mult = entry
+        expected_counts, expected_log_mult = _composition_matrix(n, d)
+        assert counts.dtype == expected_counts.dtype
+        assert counts.shape == expected_counts.shape
+        assert counts.tobytes() == expected_counts.tobytes()
+        assert log_mult.tobytes() == expected_log_mult.tobytes()
+        assert not counts.flags.writeable and not log_mult.flags.writeable
+
+    @pytest.mark.parametrize("d, larger", [(2, 40), (3, 40), (6, 14)])
+    def test_derived_entries_equal_the_enumeration(self, d, larger):
+        top = larger, _composition_matrix(larger, d)
+        for n in range(1, larger + 1):
+            cache = ensemble._CompositionCache()
+            self._assert_same_entry(cache.get(n, d, top), n, d)
+            assert cache.misses == (n < larger)
+
+    def test_derivation_narrows_the_count_dtype(self):
+        # n' = 300 counts in uint16, n <= 255 in uint8
+        top = 300, _composition_matrix(300, 3)
+        assert top[1][0].dtype == np.uint16
+        for n in (299, 256, 255, 254, 128, 1):
+            entry = ensemble._CompositionCache().get(n, 3, top)
+            self._assert_same_entry(entry, n, 3)
+        assert entry[0].dtype == np.uint8
+
+    def test_a_miss_is_derived_from_a_larger_cached_entry(self, monkeypatch):
+        cache = ensemble._CompositionCache()
+        monkeypatch.setattr(ensemble, "_compositions", cache)
+        bat = BatterySpec(np.arange(4.0))
+        build_level_table(np.full(4, 0.25), bat, 12)
+        enumerated = []
+        real = ensemble._composition_matrix
+        monkeypatch.setattr(ensemble, "_composition_matrix",
+                            lambda n, d: enumerated.append(n) or real(n, d))
+        for n in (7, 11, 3):
+            build_level_table(np.full(4, 0.25), bat, n)
+            self._assert_same_entry(cache.entries[n, 4], n, 4)
+        assert enumerated == []
+        assert cache.misses == 4
+
+    def test_a_fresh_curve_enumerates_once(self, monkeypatch):
+        monkeypatch.setattr(ensemble, "_compositions", ensemble._CompositionCache())
+        enumerated = []
+        real = ensemble._composition_matrix
+        monkeypatch.setattr(ensemble, "_composition_matrix",
+                            lambda n, d: enumerated.append((n, d)) or real(n, d))
+        rng = np.random.default_rng(1701)
+        curve(random_diagonal_state(rng, 5), random_battery(rng, 5), 16)
+        assert enumerated == [(16, 5)]
+
+    @staticmethod
+    def _curve_against_ascending_tables(monkeypatch, state, bat, n_max):
+        """curve's e(n), with _sort_order's calls during it, after checking
+        them against tables built one at a time, n ascending, in a fresh
+        empty cache."""
+        sorts = []
+        real = ensemble._sort_order
+        monkeypatch.setattr(ensemble, "_compositions", ensemble._CompositionCache())
+        monkeypatch.setattr(ensemble, "_sort_order",
+                            lambda key, *a: sorts.append(key.size) or real(key, *a))
+        e = curve(state, bat, n_max).passive_energy
+        calls = len(sorts)
+        monkeypatch.setattr(ensemble, "_compositions", ensemble._CompositionCache())
+        r = state.spectrum_descending
+        for n in range(1, n_max + 1):
+            fresh = passive_energy_per_copy(build_level_table(r, bat, n))
+            assert e[n].hex() == fresh.hex(), n
+        return calls
+
+    def test_inherited_orders_keep_every_bit(self, monkeypatch):
+        rng = np.random.default_rng(1702)
+        state, bat = random_diagonal_state(rng, 6), random_battery(rng, 6)
+        calls = self._curve_against_ascending_tables(monkeypatch, state, bat, 16)
+        # only the largest table is sorted; every smaller one inherits
+        assert calls == 2
+
+    @pytest.mark.parametrize("populations, energies, n_max", [
+        (np.array([4.0, 2.0, 1.0]) / 7.0, (0.3, 0.8, 1.7), 40),
+        ((0.5, 0.3, 0.2), (0.1, 1.1, 2.1), 60),
+    ])
+    def test_fallback_keeps_every_bit(self, monkeypatch, populations,
+                                      energies, n_max):
+        # ln 4 = 2 ln 2, and a ground energy off zero: keys that tie
+        # exactly are near ties in floats, so a handed-down order fails
+        state = QuantumState.diagonal(populations)
+        bat = BatterySpec(np.array(energies))
+        calls = self._curve_against_ascending_tables(monkeypatch, state, bat,
+                                                     n_max)
+        assert calls > 2
+
+    def test_zero_eigenvalue_keeps_every_bit(self, monkeypatch):
+        state = QuantumState.diagonal([0.5, 0.3, 0.2, 0.0])
+        bat = BatterySpec(np.array([0.0, 0.4, 0.9, 1.5]))
+        self._curve_against_ascending_tables(monkeypatch, state, bat, 24)
+
+    def test_a_top_too_large_to_cache_is_enumerated_once(self, monkeypatch):
+        # n = 200 at d = 3 holds 223,311 bytes and n <= 130 at most 95,106:
+        # the curve keeps its top entry and derives the rest from it
+        monkeypatch.setattr(ensemble, "COMPOSITION_CACHE_BYTES", 100_000)
+        cache = ensemble._CompositionCache()
+        monkeypatch.setattr(ensemble, "_compositions", cache)
+        enumerated = []
+        real = ensemble._composition_matrix
+        monkeypatch.setattr(ensemble, "_composition_matrix",
+                            lambda n, d: enumerated.append((n, d)) or real(n, d))
+        state = QuantumState.diagonal(SKEWED_SPECTRUM)
+        bat = BatterySpec(np.array([0.0, 0.579, 1.0]))
+        curve(state, bat, 200)
+        assert enumerated == [(200, 3)]
+        assert (200, 3) not in cache.entries and cache.nbytes <= 100_000
+        self._curve_against_ascending_tables(monkeypatch, state, bat, 200)
