@@ -15,7 +15,7 @@ at): energy, spectrum, passive state, entropy-matched bound, optimal
 unitary, the curve to n = 4 or 3, the n = 2 entangling
 advantage, the complete-passivity report (diagonal states), evolve and
 apply_unitary; the n-copy level tables (log_prob, energy, log_mult and
-e(n)) of seeded problems at fixed (d, n) up to 118,755 rows, of a tied
+e(n)) of seeded problems at fixed (d, n) up to 525,825 rows, of a tied
 integer ladder at n = 200 and of a zero eigenvalue at n = 90; every e(n)
 of curve() on a seeded d = 6 problem to n = 12, on that zero eigenvalue
 to n = 90, on that tied ladder to n = 100 (tables past one ladder block,
@@ -26,6 +26,11 @@ afresh) and on the unit-trace qutrit demo to n = 200; and the
 ergotropy, curve, simulate and oracle subcommands on the demo files,
 their exit codes, stdout, stderr and CSV. One simulate run has a
 segment whose phase overflows the float range.
+
+Two records, printed as they are rather than hashed, name what the bits
+depend on besides the code: machine.numpy_dispatch, the highest SIMD
+target numpy dispatches to in this process (NPY_DISABLE_CPU_FEATURES
+lowers it), and machine.glibc, from platform.libc_ver().
 
 --src DIR imports ergokit from DIR/src, so the same script digests
 another checkout. It reads states only through diagonal_populations(),
@@ -38,6 +43,7 @@ import contextlib
 import hashlib
 import io
 import json
+import platform
 import sys
 import tempfile
 import warnings
@@ -49,7 +55,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 STATES = 200
 SEED = 20261018
 # (d, n) of the level tables digested row by row
-TABLE_SIZES = [(2, 64), (3, 40), (4, 20), (6, 24), (8, 14)]
+TABLE_SIZES = [(2, 64), (3, 40), (4, 20), (6, 24), (8, 14), (3, 1024)]
 
 
 def digest(x) -> str:
@@ -67,6 +73,17 @@ def digest(x) -> str:
 
 def emit(name: str, x) -> None:
     print(f"{name} {digest(x)}")
+
+
+def machine_records() -> None:
+    from numpy._core._multiarray_umath import (__cpu_baseline__,
+                                               __cpu_dispatch__,
+                                               __cpu_features__)
+    # dispatch targets run from the lowest to the highest
+    dispatched = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+    print(f"machine.numpy_dispatch {(dispatched or __cpu_baseline__ or ['none'])[-1]}")
+    lib, version = platform.libc_ver()
+    print(f"machine.glibc {lib}-{version}" if lib else "machine.glibc unknown")
 
 
 def random_problem(ek, rng, k):
@@ -206,6 +223,7 @@ def main():
 
     # numpy warnings go to stderr, where run_cli records them each time
     warnings.simplefilter("always")
+    machine_records()
     for demo in ("qubit", "qutrit"):
         battery, state, _ = cli.load_problem(str(REPO_ROOT / "demo" / f"{demo}.json"))
         library_records(ek, f"demo.{demo}", battery, state,

@@ -11,10 +11,10 @@ count is rescaled out of the normal float range.
 
 Compositions are cached as a read-only (d, rows) count array of the
 smallest unsigned dtype that holds n, beside their log-multiplicities.
-They are lexicographic with k_1 varying slowest, so those of n are the
-last rows(n) columns of those of any n' > n, with k_1 lowered by n' - n:
-a cache miss is derived from a larger entry, and a curve enumerates only
-its largest n. Table rows are summed one level at a time, left to right,
+They are lexicographic with k_1 varying slowest, which gives the nesting
+rule: those of m < n are the last rows(m) columns of those of n, with k_1
+lowered by n - m. The enumeration builds j parts from j - 1 by it, and a
+curve enumerates only its largest n and derives the rest. Table rows are summed one level at a time, left to right,
 with no BLAS call, so each equals the scalar sum bit for bit. A table
 whose estimated peak, TABLE_BYTES_PER_ROW per row, exceeds
 TABLE_BYTE_BUDGET is refused before anything is allocated.
@@ -108,24 +108,23 @@ def _table_error(n: int, d: int) -> CapExceededError | None:
 def _composition_matrix(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """All compositions of n into d parts and their log-multiplicities
     (_composition_entry): column i of the (d, rows) counts is composition
-    i, lexicographic in (k_1, ..., k_d)."""
+    i, lexicographic in (k_1, ..., k_d). Those into j parts are made from
+    those into j - 1 with one concatenation, so the numpy calls grow as
+    d * n."""
     dtype = np.min_scalar_type(n)
-    # blocks[m]: compositions of m into j parts. Those into j parts are
-    # k_1 = 0..m, each followed by the (j-1)-part compositions of m - k_1;
-    # m descends so that blocks[m - k_1] still holds j - 1 parts.
-    blocks = [np.full((1, 1), m, dtype=dtype) for m in range(n + 1)]
-    # sizes[m]: the number of columns of blocks[m]
-    sizes = [1] * (n + 1)
+    counts = np.full((1, 1), n, dtype=dtype)
     for j in range(2, d + 1):
-        # the last pass needs only m = n
-        for m in range(n, -1, -1) if j < d else (n,):
-            tail_sizes = sizes[m::-1]
-            sizes[m] = sum(tail_sizes)
-            K = np.empty((j, sizes[m]), dtype=dtype)
-            K[0] = np.repeat(np.arange(m + 1, dtype=dtype), tail_sizes)
-            np.concatenate(blocks[m::-1], axis=1, out=K[1:])
-            blocks[m] = K
-    return _composition_entry(blocks[n], n)
+        # k_1 = 0..n, each followed by the (j-1)-part compositions of
+        # n - k_1: by the nesting rule, the last sizes[k_1] columns of
+        # counts with their first row lowered by k_1
+        sizes = [composition_count(n - k, j - 1) for k in range(n + 1)]
+        K = np.empty((j, sum(sizes)), dtype=dtype)
+        K[0] = np.repeat(np.arange(n + 1, dtype=dtype), sizes)
+        np.concatenate([counts[:, counts.shape[1] - s:] for s in sizes],
+                       axis=1, out=K[1:])
+        K[1] -= K[0]
+        counts = K
+    return _composition_entry(counts, n)
 
 
 def _composition_entry(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -151,10 +150,9 @@ class _CompositionCache:
     """_composition_matrix results by (n, d), least recently used first.
 
     Holds at most COMPOSITION_CACHE_BYTES; an entry larger than that is
-    returned but not kept. A miss is derived from top, the (n', entry) of
-    a curve's largest n, else from the cached entry of the least larger
-    n', and enumerated only without either: the compositions of n are the
-    last columns of those of n', with k_1 lowered by n' - n."""
+    returned but not kept. A miss is derived by the nesting rule from
+    top, the (n', entry) of a curve's largest n, and enumerated without
+    it."""
 
     def __init__(self):
         self.entries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -170,9 +168,6 @@ class _CompositionCache:
         if top is not None and top[0] == n:     # a curve's own, too large to keep
             return top[1]
         self.misses += 1
-        if top is None:
-            larger = min((m for m, dim in self.entries if dim == d and m > n), default=0)
-            top = (larger, self.entries[larger, d]) if larger else None
         if top is None:
             entry = _composition_matrix(n, d)
         else:
@@ -221,8 +216,8 @@ class _Workspace:
     and energy, then _MERGE_BUFFERS rows for passive_energy_per_copy,
     whose first two also hold one level's term during the build; flags is
     one bool row. curve sets levels (_level_weights) and top, its largest
-    n and that n's compositions. orders are the merge's two sort orders,
-    handed down: None before the first merge, False after a fallback."""
+    n and that n's compositions. orders are the last merge's two sort
+    orders, as int32, handed down; empty before the first merge."""
 
     def __init__(self, rows: int):
         # whole 64-byte lines per row, so every row starts aligned alike
@@ -231,17 +226,16 @@ class _Workspace:
         self.flags = np.empty(width, dtype=bool)
         self.merge = list(self.floats[2:])
         self.levels = self.top = None
-        self.orders = [None, None]
+        self.orders = [np.empty(0, dtype=np.int32)] * 2
 
     def hand_down(self, rows: int) -> None:
         """Cut the orders to the next, nested table of rows rows: its
         columns are this one's last, so keep those indices, shifted down."""
         for side, kept in enumerate(self.orders):
-            if isinstance(kept, np.ndarray):
-                shift = kept.size - rows
-                order = kept[np.greater_equal(kept, shift, out=self.flags[:kept.size])]
-                order -= shift
-                self.orders[side] = order
+            shift = kept.size - rows
+            order = kept[np.greater_equal(kept, shift, out=self.flags[:kept.size])]
+            order -= shift
+            self.orders[side] = order
 
 
 def _validated_spectrum(spectrum, d: int) -> np.ndarray:
@@ -331,10 +325,10 @@ def _merge_order(ws: _Workspace, side: int, key: np.ndarray, out: np.ndarray,
                  flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_sort_order(key, out, flags), or ws.orders[side], the order handed
     down from the last merge, when the keys it gathers ascend with ties in
-    index order, which makes it _sort_order's one permutation. The first
-    merge keeps its orders there; a failed check ends that side's hand-down."""
+    index order, which makes it _sort_order's one permutation. A fresh
+    order replaces the one there, so the next merge tries it."""
     kept = ws.orders[side]
-    if isinstance(kept, np.ndarray) and kept.size == key.size:
+    if kept.size == key.size:
         sorted_key = key.take(kept, out=out, mode="clip")
         down = np.less_equal(sorted_key[1:], sorted_key[:-1], out=flags[:key.size - 1])
         at = down.nonzero()[0] if down.any() else None
@@ -342,10 +336,8 @@ def _merge_order(ws: _Workspace, side: int, key: np.ndarray, out: np.ndarray,
                           and (kept[at + 1] > kept[at]).all()):
             return kept, sorted_key
     order, sorted_key = _sort_order(key, out, flags)
-    if kept is None:
-        # int32 halves what is kept; TABLE_BYTE_BUDGET keeps rows far below 2^31
-        order = order.astype(np.int32)
-    ws.orders[side] = order if kept is None else False
+    # int32 halves what is kept; TABLE_BYTE_BUDGET keeps rows far below 2^31
+    ws.orders[side] = order = order.astype(np.int32)
     return order, sorted_key
 
 
