@@ -458,6 +458,8 @@ def passive_energy_per_copy(table: WeightedLevelTable, *,
     row index that leaves every mean inside its rows.
 
     Intermediates go to a _Workspace: curve's, or one made for this call.
+    The masses and e(n) are numpy sums, not BLAS dots, so their bits do
+    not depend on the BLAS thread count.
     """
     lp, en, lm, n = table.log_prob, table.energy, table.log_mult, table.n
     rows = len(table)
@@ -529,7 +531,7 @@ def passive_energy_per_copy(table: WeightedLevelTable, *,
     row_mass = float(mass.sum())
     p_width = np.subtract(P_hi, neg_lp, out=neg_lp)
     np.exp(p_width, out=p_width)
-    ladder_mass = float(np.dot(p_width, rel_width))
+    ladder_mass = float(np.multiply(p_width, rel_width, out=p_width).sum())
     # worst-case ladder rounding, relative: a log step rounds ln count by
     # eps * ln count, and so does a linear block's x - max, as counts are
     # >= 1 and |x - max| <= ln total; rows such steps, or rows additions
@@ -554,7 +556,7 @@ def passive_energy_per_copy(table: WeightedLevelTable, *,
         raise NoConvergenceError(
             f"passive merge: an interval mean lies outside its energy rows "
             f"over {m} rows (n={n})")
-    return float(np.dot(mass, mean)) / n
+    return float(np.multiply(mass, mean, out=mass).sum()) / n
 
 
 def brute_force_oracle(spectrum, battery: BatterySpec, n: int) -> float:

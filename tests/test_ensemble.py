@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -10,10 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (DEMO_E2, DEMO_GIBBS_ENERGY, DEMO_PASSIVE_ENERGY,
-                      DEMO_SPECTRUM, MAXMIX_ENERGY, OVERFULL_ENERGIES,
-                      OVERFULL_POPULATIONS, SKEWED_E, SKEWED_SPECTRUM,
-                      UNIT_TRACE_DEMO_E800, random_battery,
+from conftest import (DEMO_E2, DEMO_ENERGIES, DEMO_GIBBS_ENERGY,
+                      DEMO_PASSIVE_ENERGY, DEMO_SPECTRUM, MAXMIX_ENERGY,
+                      OVERFULL_ENERGIES, OVERFULL_POPULATIONS, SKEWED_E,
+                      SKEWED_SPECTRUM, UNIT_TRACE_DEMO_E800, random_battery,
                       random_diagonal_state)
 from exact_oracle import exact_passive_energy_per_copy
 from ergokit import (BatterySpec, QuantumState, brute_force_oracle,
@@ -520,6 +521,22 @@ class TestCurve:
             state = random_diagonal_state(rng, d)
             bat = random_battery(rng, d)
             _assert_fresh_bits(curve(state, bat, n_max).passive_energy, state, bat)
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS splits a dot of about 10,000 entries or more across its
+        # threads; the unit-trace demo's tables pass that from n = 141
+        script = (
+            "import numpy as np\n"
+            "from ergokit import BatterySpec, QuantumState, curve\n"
+            f"r = np.array({DEMO_SPECTRUM}); r /= r.sum()\n"
+            f"c = curve(QuantumState.diagonal(r), BatterySpec(np.array({DEMO_ENERGIES})), 200)\n"
+            "print(*(e.hex() for e in c.passive_energy.values()))\n")
+        runs = [subprocess.run([sys.executable, "-c", script], capture_output=True,
+                               text=True, check=True,
+                               env=dict(os.environ, OPENBLAS_NUM_THREADS=threads)).stdout
+                for threads in ("1", "2")]
+        assert len(runs[0].split()) == 200
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("d, n_max", [(8, 14), (6, 24)])
     def test_peak_within_the_byte_estimate(self, d, n_max, monkeypatch):
