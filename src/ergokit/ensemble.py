@@ -14,10 +14,11 @@ smallest unsigned dtype that holds n, beside their log-multiplicities.
 They are lexicographic with k_1 varying slowest, which gives the nesting
 rule: those of m < n are the last rows(m) columns of those of n, with k_1
 lowered by n - m. The enumeration builds j parts from j - 1 by it, and a
-curve enumerates only its largest n and derives the rest. Table rows are summed one level at a time, left to right,
-with no BLAS call, so each equals the scalar sum bit for bit. A table
-whose estimated peak, TABLE_BYTES_PER_ROW per row, exceeds
-TABLE_BYTE_BUDGET is refused before anything is allocated.
+curve enumerates only its largest n and derives the rest. Table rows are
+summed one level at a time, left to right, with no BLAS call, so each
+equals the scalar sum bit for bit. A table whose estimated peak,
+TABLE_BYTES_PER_ROW per row, exceeds TABLE_BYTE_BUDGET is refused
+before anything is allocated.
 
 curve evaluates n from its largest feasible n down to 1 in one
 _Workspace of row buffers, which the build and the merge write into with
@@ -120,8 +121,7 @@ def _composition_matrix(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
         sizes = [composition_count(n - k, j - 1) for k in range(n + 1)]
         K = np.empty((j, sum(sizes)), dtype=dtype)
         K[0] = np.repeat(np.arange(n + 1, dtype=dtype), sizes)
-        np.concatenate([counts[:, counts.shape[1] - s:] for s in sizes],
-                       axis=1, out=K[1:])
+        np.concatenate([counts[:, -s:] for s in sizes], axis=1, out=K[1:])
         K[1] -= K[0]
         counts = K
     return _composition_entry(counts, n)
