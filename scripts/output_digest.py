@@ -81,7 +81,8 @@ def machine_records() -> None:
                                                __cpu_features__)
     # dispatch targets run from the lowest to the highest
     dispatched = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
-    print(f"machine.numpy_dispatch {(dispatched or __cpu_baseline__ or ['none'])[-1]}")
+    highest = (dispatched or __cpu_baseline__ or ["none"])[-1]
+    print(f"machine.numpy_dispatch {highest}")
     lib, version = platform.libc_ver()
     print(f"machine.glibc {lib}-{version}" if lib else "machine.glibc unknown")
 

@@ -529,11 +529,12 @@ class TestCurve:
             "import numpy as np\n"
             "from ergokit import BatterySpec, QuantumState, curve\n"
             f"r = np.array({DEMO_SPECTRUM}); r /= r.sum()\n"
-            f"c = curve(QuantumState.diagonal(r), BatterySpec(np.array({DEMO_ENERGIES})), 200)\n"
+            f"bat = BatterySpec(np.array({DEMO_ENERGIES}))\n"
+            "c = curve(QuantumState.diagonal(r), bat, 200)\n"
             "print(*(e.hex() for e in c.passive_energy.values()))\n")
-        runs = [subprocess.run([sys.executable, "-c", script], capture_output=True,
-                               text=True, check=True,
-                               env=dict(os.environ, OPENBLAS_NUM_THREADS=threads)).stdout
+        runs = [subprocess.run([sys.executable, "-c", script],
+                               env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                               capture_output=True, text=True, check=True).stdout
                 for threads in ("1", "2")]
         assert len(runs[0].split()) == 200
         assert runs[0] == runs[1]
