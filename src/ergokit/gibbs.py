@@ -64,14 +64,6 @@ def gibbs_state(battery: BatterySpec, beta: float) -> GibbsState:
                       energy_shift=float(battery.energies[0]))
 
 
-def gibbs_energy(battery: BatterySpec, beta: float) -> float:
-    return float(np.dot(gibbs_state(battery, beta).populations, battery.energies))
-
-
-def gibbs_entropy(battery: BatterySpec, beta: float) -> float:
-    return entropy_of_populations(gibbs_state(battery, beta).populations)
-
-
 @dataclass(frozen=True, eq=False)
 class GibbsMatch:
     """Result of solving S(omega_beta) = target over beta >= 0."""
@@ -99,7 +91,9 @@ def match_entropy(battery: BatterySpec, target_entropy: float) -> GibbsMatch:
     Bisection on the strictly monotone entropy map; the upper bracket is
     found by doubling. Targets at ln d give beta = 0; targets at or below
     S(omega_beta_cap) saturate at beta_cap (the beta = infinity stand-in)
-    and are flagged as such.
+    and are flagged as such. The bracket and bisection evaluate S(beta)
+    with gibbs_state's operations, one for one, on one shifted copy of the
+    energies; a GibbsState is built only for the result.
     """
     d = battery.dim
     ln_d = math.log(d)
@@ -122,10 +116,15 @@ def match_entropy(battery: BatterySpec, target_entropy: float) -> GibbsMatch:
     if target_entropy >= ln_d:
         return build(0.0)
     cap = beta_cap(battery)
+    shifted = battery.energies - battery.energies[0]
+
+    def entropy_at(beta: float) -> float:
+        weights = np.exp(-beta * shifted)
+        return entropy_of_populations(weights / float(np.sum(weights)))
 
     lo = 0.0
     hi = 1.0
-    while gibbs_entropy(battery, hi) > target_entropy:
+    while entropy_at(hi) > target_entropy:
         if hi == cap:
             # target below what is resolvable: treat as saturated
             return build(cap, saturated=True)
@@ -138,7 +137,7 @@ def match_entropy(battery: BatterySpec, target_entropy: float) -> GibbsMatch:
     for _ in range(200):
         if mid == lo or mid == hi:
             break
-        if gibbs_entropy(battery, mid) > target_entropy:
+        if entropy_at(mid) > target_entropy:
             lo = mid
         else:
             hi = mid

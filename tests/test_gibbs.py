@@ -10,9 +10,18 @@ from conftest import (DEMO_BETA, DEMO_ENTROPY, DEMO_GIBBS_ENERGY,
                       random_diagonal_state)
 from ergokit import (BatterySpec, QuantumState, energy, ergotropy, gibbs_state,
                      match_entropy, passive_state, thermodynamic_bound)
-from ergokit.gibbs import (MATCH_TOL, beta_cap, entropy, gibbs_energy,
-                           gibbs_entropy)
+from ergokit import gibbs
+from ergokit.gibbs import (MATCH_TOL, beta_cap, entropy,
+                           entropy_of_populations)
 from ergokit.errors import TargetOutOfRangeError
+
+
+def _entropy_at(battery, beta):
+    return entropy_of_populations(gibbs_state(battery, beta).populations)
+
+
+def _energy_at(battery, beta):
+    return float(np.dot(gibbs_state(battery, beta).populations, battery.energies))
 
 
 class TestEntropy:
@@ -59,7 +68,7 @@ class TestGibbsState:
         weights = np.exp(-np.array([0.0, 0.579, 1.0]))
         np.testing.assert_allclose(gs.populations, weights / weights.sum(),
                                    atol=1e-15)
-        assert gibbs_entropy(demo_battery, 1.0) == pytest.approx(
+        assert entropy_of_populations(gs.populations) == pytest.approx(
             ENTROPY_GIBBS_BETA1, abs=1e-12)
 
     def test_shift_convention(self):
@@ -116,17 +125,29 @@ class TestMatchEntropy:
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 5.0, 17.3, 50.0])
     def test_round_trip(self, demo_battery, beta):
-        target = gibbs_entropy(demo_battery, beta)
+        target = _entropy_at(demo_battery, beta)
         m = match_entropy(demo_battery, target)
         assert abs(m.gibbs_entropy - target) <= 1e-13
         assert m.beta == pytest.approx(beta, abs=1e-6)
         assert not m.saturated
 
+    @pytest.mark.parametrize("target", [0.05, 0.7, 1.05])
+    def test_one_gibbs_state_per_match(self, demo_battery, monkeypatch,
+                                       target):
+        # the bracket and bisection evaluate S(beta) without a GibbsState
+        betas = []
+        real = gibbs.gibbs_state
+        monkeypatch.setattr(gibbs, "gibbs_state",
+                            lambda bat, beta: betas.append(beta) or real(bat, beta))
+        m = match_entropy(demo_battery, target)
+        assert not m.saturated
+        assert betas == [m.beta]
+
     def test_tiny_target_above_the_cap_entropy_is_bisected(self):
         # S(omega_50) ~ 8e-11 lies between S(omega_beta_cap) and MATCH_TOL
         bat = BatterySpec(np.array([0.0, 0.579, 1.0]))
-        target = gibbs_entropy(bat, 50.0)
-        assert gibbs_entropy(bat, beta_cap(bat)) < target < 1e-10
+        target = _entropy_at(bat, 50.0)
+        assert _entropy_at(bat, beta_cap(bat)) < target < 1e-10
         m = match_entropy(bat, target)
         assert m.beta == pytest.approx(50.0, abs=1e-6)
         assert not m.saturated
@@ -140,7 +161,7 @@ class TestMatchEntropy:
         m = match_entropy(bat, 0.0)
         assert m.saturated
         assert m.beta == cap
-        target = gibbs_entropy(bat, 0.1)
+        target = _entropy_at(bat, 0.1)
         m = match_entropy(bat, target)
         assert abs(m.gibbs_entropy - target) <= MATCH_TOL
         assert m.beta == pytest.approx(0.1, abs=1e-6)
@@ -153,8 +174,8 @@ class TestMonotonicity:
         for _ in range(5):
             bat = random_battery(rng, int(rng.integers(2, 7)))
             grid = np.linspace(0.0, 50.0, 60)
-            s = [gibbs_entropy(bat, b) for b in grid]
-            e = [gibbs_energy(bat, b) for b in grid]
+            s = [_entropy_at(bat, b) for b in grid]
+            e = [_energy_at(bat, b) for b in grid]
             assert np.all(np.diff(s) < 0)
             assert np.all(np.diff(e) < 0)
 
