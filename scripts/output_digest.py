@@ -15,8 +15,10 @@ at): energy, spectrum, passive state, entropy-matched bound, optimal
 unitary, the curve to n = 4 or 3, the n = 2 entangling
 advantage, the complete-passivity report (diagonal states), evolve and
 apply_unitary; the n-copy level tables (log_prob, energy, log_mult and
-e(n)) of seeded problems at fixed (d, n) up to 525,825 rows, of a tied
-integer ladder at n = 200 and of a zero eigenvalue at n = 90; every e(n)
+e(n)) of seeded problems at fixed (d, n) up to 525,825 rows, of the
+(3, 40) problem again after (3, 1024) (its table is then read from the
+larger composition entry; its records must equal table.d3.n40.*), of a
+tied integer ladder at n = 200 and of a zero eigenvalue at n = 90; every e(n)
 of curve() on a seeded d = 6 problem to n = 12, on that zero eigenvalue
 to n = 90, on that tied ladder to n = 100 (tables past one ladder block,
 built in the workspace a curve reuses), on the geometric spectrum
@@ -146,11 +148,14 @@ def library_records(ek, name, battery, state, rng):
 
 
 def table_records(ek, rng):
+    problems = {}
     for d, n in TABLE_SIZES:
         energies = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, d - 1))])
-        table = ek.build_level_table(rng.dirichlet(np.ones(d)),
-                                     ek.BatterySpec(energies), n)
+        problems[d, n] = rng.dirichlet(np.ones(d)), ek.BatterySpec(energies)
+        table = ek.build_level_table(*problems[d, n], n)
         table_record(ek, f"table.d{d}.n{n}", table)
+    table = ek.build_level_table(*problems[3, 40], 40)
+    table_record(ek, "table.d3.n40_after_n1024", table)
     # fixed spectra whose ladders run past one LADDER_BLOCK (2,048 rows):
     # a tied integer ladder and a zero eigenvalue
     for name, spectrum, energies, n in (

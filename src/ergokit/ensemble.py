@@ -9,14 +9,15 @@ multiplicities stay in the log domain; the merge's count ladders are
 summed linearly in blocks of LADDER_BLOCK rows joined in logs, so no
 count is rescaled out of the normal float range.
 
-Compositions are cached as a read-only (d, rows) count array of the
-smallest unsigned dtype that holds n, beside their log-multiplicities.
-They are lexicographic with k_1 varying slowest, which gives the nesting
-rule: those of m < n are the last rows(m) columns of those of n, with k_1
-lowered by n - m. The enumeration builds j parts from j - 1 by it, and a
-curve enumerates only its largest n and derives the rest. Table rows are
-summed one level at a time, left to right, with no BLAS call, so each
-equals the scalar sum bit for bit. A table whose estimated peak,
+Compositions are cached one entry per d: the read-only (d, rows) counts
+of the largest n enumerated, of the smallest unsigned dtype that holds
+n, beside ln k! for k = 0..n. They are lexicographic with k_1 varying
+slowest, which gives the nesting rule: those of m < n are the last
+rows(m) columns of those of n, with k_1 lowered by n - m. The
+enumeration builds j parts from j - 1 by it, and every table reads its
+counts from the entry of d by it. Table rows, log-multiplicities too,
+are summed one level at a time, left to right, with no BLAS call, so
+each equals the scalar sum bit for bit. A table whose estimated peak,
 TABLE_BYTES_PER_ROW per row, exceeds TABLE_BYTE_BUDGET is refused
 before anything is allocated.
 
@@ -44,9 +45,9 @@ from .gibbs import entropy_target, match_entropy
 DEFAULT_COMPOSITION_CAP = 50_000_000
 COMPOSITION_CAP_ENV = "ERGOKIT_MAX_COMPOSITIONS"
 # estimated peak bytes of one uncached build plus its merge, per table
-# row; tracemalloc reads 141.6, 139.1 and 139.0 at (d, n) = (8, 14),
+# row; tracemalloc reads 149.6, 147.1 and 147.0 at (d, n) = (8, 14),
 # (6, 24) and (3, 1024), and a whole curve with its compositions cached
-# 111.1 and 116.3 at (8, 14) and (6, 24)
+# 119.1 and 124.4 at (8, 14) and (6, 24)
 TABLE_BYTES_PER_ROW = 200
 # build_level_table refuses a table whose estimated peak exceeds this
 TABLE_BYTE_BUDGET = 2 * 2**30
@@ -61,8 +62,6 @@ LADDER_BLOCK = 2048
 # a linear block spans at most this in ln count, so each exp(x - block
 # max) >= e^-690 stays a normal float (those end near e^-708)
 LADDER_LINEAR_SPAN = 690.0
-# _composition_entry gathers log-factorials in blocks of this many columns
-_GATHER_COLUMNS = 16384
 # row buffers passive_energy_per_copy takes from its _Workspace
 _MERGE_BUFFERS = 9
 _EPS = float(np.finfo(float).eps)
@@ -106,10 +105,10 @@ def _table_error(n: int, d: int) -> CapExceededError | None:
                           f" ({rows} rows at {TABLE_BYTES_PER_ROW} bytes each)"))
 
 
-def _composition_matrix(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """All compositions of n into d parts and their log-multiplicities
-    (_composition_entry): column i of the (d, rows) counts is composition
-    i, lexicographic in (k_1, ..., k_d). Those into j parts are made from
+def _composition_matrix(n: int, d: int) -> np.ndarray:
+    """All compositions of n into d parts, read-only: column i of the
+    (d, rows) counts, of np.min_scalar_type(n), is composition i,
+    lexicographic in (k_1, ..., k_d). Those into j parts are made from
     those into j - 1 with one concatenation, so the numpy calls grow as
     d * n."""
     dtype = np.min_scalar_type(n)
@@ -124,65 +123,42 @@ def _composition_matrix(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
         np.concatenate([counts[:, -s:] for s in sizes], axis=1, out=K[1:])
         K[1] -= K[0]
         counts = K
-    return _composition_entry(counts, n)
-
-
-def _composition_entry(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """counts, of np.min_scalar_type(n), and log_mult = ln(n!) - (ln k_1!
-    + ... + ln k_d!), summed left to right, both made read-only. The
-    log-factorials are gathered _GATHER_COLUMNS columns at a time, which
-    bounds take's intp copy of the indices and the term buffer."""
-    log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
-    rows = counts.shape[1]
-    log_mult, term = np.empty(rows), np.empty(min(rows, _GATHER_COLUMNS))
-    for at in range(0, rows, _GATHER_COLUMNS):
-        part = log_mult[at:at + _GATHER_COLUMNS]
-        log_fact.take(counts[0, at:at + part.size], out=part, mode="clip")
-        for k in counts[1:, at:at + part.size]:
-            part += log_fact.take(k, out=term[:part.size], mode="clip")
-    np.subtract(log_fact[n], log_mult, out=log_mult)
     counts.flags.writeable = False
-    log_mult.flags.writeable = False
-    return counts, log_mult
+    return counts
 
 
 class _CompositionCache:
-    """_composition_matrix results by (n, d), least recently used first.
+    """One entry per d, least recently used first: the counts of the
+    largest n' enumerated for d (_composition_matrix) and ln k! for
+    k = 0..n', both read-only. get(n, d) hits whenever n' >= n;
+    build_level_table reads the table of n from it by the nesting rule.
 
     Holds at most COMPOSITION_CACHE_BYTES; an entry larger than that is
-    returned but not kept. A miss is derived by the nesting rule from
-    top, the (n', entry) of a curve's largest n, and enumerated without
-    it."""
+    returned but not kept, and the smaller entry held for d stays."""
 
     def __init__(self):
-        self.entries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self.entries: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.nbytes = 0
         self.misses = 0
 
-    def get(self, n: int, d: int, top=None) -> tuple[np.ndarray, np.ndarray]:
-        key = (n, d)
-        entry = self.entries.pop(key, None)
-        if entry is not None:
-            self.entries[key] = entry
-            return entry
-        if top is not None and top[0] == n:     # a curve's own, too large to keep
-            return top[1]
+    def get(self, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+        held = self.entries.pop(d, None)
+        if held is not None:
+            self.entries[d] = held
+            if held[1].size > n:
+                return held
         self.misses += 1
-        if top is None:
-            entry = _composition_matrix(n, d)
-        else:
-            tail = top[1][0][:, -composition_count(n, d):]
-            counts = np.empty(tail.shape, dtype=np.min_scalar_type(n))
-            np.subtract(tail[0], top[0] - n, out=counts[0])
-            counts[1:] = tail[1:]
-            entry = _composition_entry(counts, n)
+        log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+        log_fact.flags.writeable = False
+        entry = _composition_matrix(n, d), log_fact
         size = sum(a.nbytes for a in entry)
         if size <= COMPOSITION_CACHE_BYTES:
-            while self.nbytes + size > COMPOSITION_CACHE_BYTES:
+            # replaces held, the newest entry, so the oldest go first
+            self.entries[d] = entry
+            self.nbytes += size - sum(a.nbytes for a in held or ())
+            while self.nbytes > COMPOSITION_CACHE_BYTES:
                 oldest = self.entries.pop(next(iter(self.entries)))
                 self.nbytes -= sum(a.nbytes for a in oldest)
-            self.entries[key] = entry
-            self.nbytes += size
         return entry
 
 
@@ -212,19 +188,20 @@ class _Workspace:
     """Row buffers for build_level_table and passive_energy_per_copy, and
     what curve, which reuses one for every n, carries from n to n - 1.
 
-    floats holds rows of at least rows + 1 entries: the table's log_prob
-    and energy, then _MERGE_BUFFERS rows for passive_energy_per_copy,
-    whose first two also hold one level's term during the build; flags is
-    one bool row. curve sets levels (_level_weights) and top, its largest
-    n and that n's compositions. orders are the last merge's two sort
+    floats holds rows of at least rows + 1 entries: the table's log_prob,
+    energy and log_mult, then _MERGE_BUFFERS rows for
+    passive_energy_per_copy, whose first three also hold one level's
+    terms during the build; flags is one bool row. curve sets levels
+    (_level_weights) and top, the composition entry (_CompositionCache)
+    of an n at least its largest. orders are the last merge's two sort
     orders, as int32, handed down; empty before the first merge."""
 
     def __init__(self, rows: int):
         # whole 64-byte lines per row, so every row starts aligned alike
         width = (rows + 8) // 8 * 8
-        self.floats = np.empty((_MERGE_BUFFERS + 2, width))
+        self.floats = np.empty((_MERGE_BUFFERS + 3, width))
         self.flags = np.empty(width, dtype=bool)
-        self.merge = list(self.floats[2:])
+        self.merge = list(self.floats[3:])
         self.levels = self.top = None
         self.orders = [np.empty(0, dtype=np.int32)] * 2
 
@@ -269,8 +246,10 @@ def build_level_table(spectrum, battery: BatterySpec, n: int, *,
     part at a time, left to right, in float64 with x_j = math.log(r_j) or
     eps_j: bit for bit the scalar sum, with no BLAS call, so the bits do
     not depend on the CPU's kernels. A zero eigenvalue contributes 0 and
-    turns every row that uses it to -inf. log_mult is the cached entry of
-    (n, d).
+    turns every row that uses it to -inf. log_mult = ln n! - (ln k_1! +
+    ... + ln k_d!) is summed in the same loop. Counts and ln k! come from
+    the composition entry of an n' >= n: k_2..k_d are views of its last
+    rows columns, and k_1 is its first row lowered by n' - n.
 
     Before anything is allocated, the rows are checked against
     composition_cap() and the estimated peak of build plus merge,
@@ -278,8 +257,8 @@ def build_level_table(spectrum, battery: BatterySpec, n: int, *,
     either excess raises CapExceededError.
 
     The arrays are read-only and fresh, except under curve, whose
-    _Workspace supplies the weights, the compositions to derive from and
-    the rows: the table is then a view, valid until the next build.
+    _Workspace supplies the weights, the composition entry and the rows:
+    the table is then a view, valid until the next build.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
@@ -288,16 +267,22 @@ def build_level_table(spectrum, battery: BatterySpec, n: int, *,
     if error := _table_error(n, d):
         raise error
     rows = composition_count(n, d)
-    counts, log_mult = _compositions.get(n, d, ws.top if ws else None)
-    sums, term, flags = ((ws.floats[:2, :rows], ws.floats[2:4, :rows], ws.flags[:rows])
-                         if ws else (np.empty((2, rows)), np.empty((2, rows)), None))
-    np.multiply(counts[0], weights[0], out=sums)
-    for k, w in zip(counts[1:], weights[1:]):
-        sums += np.multiply(k, w, out=term)
+    counts, log_fact = ws.top if ws else _compositions.get(n, d)
+    tail = counts[:, -rows:]
+    k = [tail[0] - (log_fact.size - 1 - n), *tail[1:]]
+    sums, term, flags = ((ws.floats[:3, :rows], ws.floats[3:6, :rows], ws.flags[:rows])
+                         if ws else (np.empty((3, rows)), np.empty((3, rows)), None))
+    prob_energy, log_mult = sums[:2], sums[2]
+    np.multiply(k[0], weights[0], out=prob_energy)
+    log_fact.take(k[0], out=log_mult, mode="clip")
+    for kj, w in zip(k[1:], weights[1:]):
+        prob_energy += np.multiply(kj, w, out=term[:2])
+        log_mult += log_fact.take(kj, out=term[2], mode="clip")
+    np.subtract(log_fact[n], log_mult, out=log_mult)
     for j in zero_levels:
-        np.copyto(sums[0], -np.inf, where=np.greater(counts[j], 0, out=flags))
+        np.copyto(sums[0], -np.inf, where=np.greater(k[j], 0, out=flags))
     sums.flags.writeable = False
-    log_prob, total_energy = sums
+    log_prob, total_energy, log_mult = sums
     return WeightedLevelTable(n=n, dim=d, log_prob=log_prob,
                               energy=total_energy, log_mult=log_mult)
 
@@ -601,9 +586,10 @@ def curve(state: QuantumState, battery: BatterySpec, n_max: int) -> EnsembleCurv
     partial curve, found before any table is built.
 
     n runs from the largest feasible n down to 1 in one _Workspace sized
-    to that table. It holds the spectrum's weights, validated once; that
-    n's compositions, the only ones enumerated, held even when too large
-    to cache; and the sort orders each merge hands down to the next.
+    to that table. It holds the spectrum's weights, validated once; the
+    composition entry of d, of an n at least that one, which every table
+    reads its counts from, held even when too large to cache; and the
+    sort orders each merge hands down to the next.
     passive_energy still lists n ascending.
     """
     if n_max < 1:
@@ -621,7 +607,7 @@ def curve(state: QuantumState, battery: BatterySpec, n_max: int) -> EnsembleCurv
     if n_top:
         workspace = _Workspace(composition_count(n_top, d))
         workspace.levels = _level_weights(spectrum, battery)
-        workspace.top = n_top, _compositions.get(n_top, d)
+        workspace.top = _compositions.get(n_top, d)
     e = [0.0] * n_top
     for n in range(n_top, 0, -1):
         table = build_level_table(spectrum, battery, n, _workspace=workspace)

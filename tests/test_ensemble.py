@@ -35,13 +35,11 @@ class TestCompositionMatrix:
         for n in range(9):
             expected = [k for k in itertools.product(range(n + 1), repeat=d)
                         if sum(k) == n]
-            K, log_mult = _composition_matrix(n, d)
+            K = _composition_matrix(n, d)
             np.testing.assert_array_equal(K, np.array(expected).reshape(-1, d).T)
             assert K.shape == (d, composition_count(n, d))
             assert K.dtype == np.min_scalar_type(n)
-            assert log_mult.shape == (composition_count(n, d),)
             assert not K.flags.writeable
-            assert not log_mult.flags.writeable
 
     def test_log_mult_matches_exact_multinomial(self):
         # exact integer multinomials; a battery needs at least two levels
@@ -50,7 +48,7 @@ class TestCompositionMatrix:
             for n in range(1, 31):
                 exact = [math.log(math.factorial(n) // math.prod(
                     math.factorial(int(k)) for k in column))
-                    for column in _composition_matrix(n, d)[0].T]
+                    for column in _composition_matrix(n, d).T]
                 t = build_level_table(np.full(d, 1.0 / d), bat, n)
                 np.testing.assert_allclose(t.log_mult, exact, rtol=1e-13,
                                            atol=0.0)
@@ -59,7 +57,7 @@ class TestCompositionMatrix:
     def test_large_n_is_every_composition_in_order(self, d, n):
         # distinct columns summing to n, as many as there are compositions,
         # in strictly increasing lexicographic order: exactly the enumeration
-        K, _ = _composition_matrix(n, d)
+        K = _composition_matrix(n, d)
         assert K.dtype == np.min_scalar_type(n)
         assert K.shape == (d, math.comb(n + d - 1, d - 1))
         assert (K.sum(axis=0, dtype=np.int64) == n).all()
@@ -136,7 +134,7 @@ class TestBuildLevelTable:
             r[1], r[0] = 0.0, r[0] + r[1]
         bat = random_battery(rng, d, ground=-0.5)
         t = build_level_table(r, bat, n)
-        K = _composition_matrix(n, d)[0]
+        K = _composition_matrix(n, d)
         log_r = [math.log(x) if x > 0.0 else 0.0 for x in r]
         eps = bat.energies.tolist()
         log_fact = [math.lgamma(k + 1) for k in range(n + 1)]
@@ -676,33 +674,87 @@ class TestProductHelpers:
             product_populations(np.full(10, 0.1), 9)
 
 
+def _held_bytes(cache):
+    return sum(a.nbytes for entry in cache.entries.values() for a in entry)
+
+
 class TestCompositionCache:
+    """One entry per d: the counts of the largest n enumerated for it and
+    ln k! for k = 0..n."""
+
+    def test_one_entry_per_d(self):
+        cache = ensemble._CompositionCache()
+        for n, d in ((5, 3), (4, 2), (3, 3), (5, 3), (1, 2)):
+            counts, log_fact = cache.get(n, d)
+        assert set(cache.entries) == {2, 3}
+        assert cache.misses == 2
+        assert cache.entries[3][0].shape == (3, composition_count(5, 3))
+        assert cache.nbytes == _held_bytes(cache)
+        assert not counts.flags.writeable and not log_fact.flags.writeable
+        assert log_fact.tobytes() == np.array(
+            [math.lgamma(k + 1) for k in range(5)]).tobytes()
+
+    def test_a_larger_n_replaces_the_entry(self):
+        cache = ensemble._CompositionCache()
+        small = cache.get(5, 3)
+        large = cache.get(9, 3)
+        assert cache.entries == {3: large} and large is not small
+        assert large[1].size == 10
+        assert cache.nbytes == _held_bytes(cache)
+        assert cache.misses == 2
+
+    def test_a_smaller_n_is_served_with_no_miss(self):
+        cache = ensemble._CompositionCache()
+        entry = cache.get(20, 4)
+        assert all(cache.get(n, 4) is entry for n in range(1, 21))
+        assert cache.misses == 1
+
+    def test_too_large_is_returned_not_kept(self, monkeypatch):
+        # n = 10 at d = 3 holds 286 bytes, n = 200 holds 62,511
+        monkeypatch.setattr(ensemble, "COMPOSITION_CACHE_BYTES", 10_000)
+        cache = ensemble._CompositionCache()
+        small = cache.get(10, 3)
+        counts, log_fact = cache.get(200, 3)
+        assert counts.shape == (3, composition_count(200, 3))
+        assert log_fact.size == 201
+        assert cache.entries == {3: small}
+        assert cache.nbytes == _held_bytes(cache) == 286
+        assert cache.misses == 2
+
     def test_bytes_stay_under_the_bound_across_a_d8_curve(self, monkeypatch):
-        bound = 2**20
+        bound = 2**19
         monkeypatch.setattr(ensemble, "COMPOSITION_CACHE_BYTES", bound)
         cache = ensemble._CompositionCache()
         monkeypatch.setattr(ensemble, "_compositions", cache)
         bat = BatterySpec(np.arange(8.0))
         r = np.full(8, 0.125)
+        cache.get(20, 6)
         for n in range(1, 15):
             build_level_table(r, bat, n)
-            held = sum(a.nbytes for entry in cache.entries.values()
-                       for a in entry)
-            assert cache.nbytes == held <= bound
-        # n = 13 and 14 (1.24 and 1.86 MB) are returned but not kept, and
-        # the oldest entries were evicted to make room for n = 12
-        assert cache.misses == 14
-        assert (12, 8) in cache.entries
-        assert not {(1, 8), (13, 8), (14, 8)} & set(cache.entries)
+            assert cache.nbytes == _held_bytes(cache) <= bound
+        # n = 13 and 14 (620,272 and 930,360 bytes) are returned but not
+        # kept, and the d = 6 entry (318,948 bytes) was evicted to make
+        # room for n = 12 (403,208 bytes)
+        assert cache.misses == 15
+        assert set(cache.entries) == {8}
+        assert cache.entries[8][1].size == 13
         build_level_table(r, bat, 12)
-        assert cache.misses == 14
+        assert cache.misses == 15
 
     def test_default_bound_holds_a_full_d8_curve(self):
         curve(QuantumState.diagonal(np.full(8, 0.125)),
               BatterySpec(np.arange(8.0)), 14)
         cache = ensemble._compositions
         assert cache.nbytes <= ensemble.COMPOSITION_CACHE_BYTES
-        assert all((n, 8) in cache.entries for n in range(1, 15))
+        assert cache.entries[8][1].size > 14
+
+    def test_a_curve_leaves_one_entry(self, monkeypatch):
+        cache = ensemble._CompositionCache()
+        monkeypatch.setattr(ensemble, "_compositions", cache)
+        curve(QuantumState.diagonal(SKEWED_SPECTRUM),
+              BatterySpec(np.array([0.0, 0.579, 1.0])), 200)
+        assert set(cache.entries) == {3}
+        assert cache.misses == 1
 
 
 class TestEnvironmentCap:
@@ -715,35 +767,46 @@ class TestEnvironmentCap:
 
 
 class TestNestedTables:
-    """A curve enumerates only its largest n and hands each merge's sort
-    orders down to the next, smaller table; neither may move a bit."""
+    """A curve enumerates only its largest n, every table reads its counts
+    from that entry, and each merge hands its sort orders down to the
+    next, smaller table; none of it may move a bit."""
 
     @staticmethod
-    def _assert_same_entry(entry, n, d):
-        counts, log_mult = entry
-        expected_counts, expected_log_mult = _composition_matrix(n, d)
-        assert counts.dtype == expected_counts.dtype
-        assert counts.shape == expected_counts.shape
-        assert counts.tobytes() == expected_counts.tobytes()
-        assert log_mult.tobytes() == expected_log_mult.tobytes()
-        assert not counts.flags.writeable and not log_mult.flags.writeable
+    def _assert_read_down(monkeypatch, r, bat, larger, ns):
+        """Each table of n in ns, read from the entry of larger, equals
+        the table built from a fresh enumeration of n."""
+        d = bat.dim
+        cache = ensemble._CompositionCache()
+        cache.get(larger, d)
+        for n in ns:
+            monkeypatch.setattr(ensemble, "_compositions", cache)
+            read = build_level_table(r, bat, n)
+            fresh_cache = ensemble._CompositionCache()
+            monkeypatch.setattr(ensemble, "_compositions", fresh_cache)
+            fresh = build_level_table(r, bat, n)
+            assert fresh_cache.entries[d][1].size == n + 1
+            for name in ("log_prob", "energy", "log_mult"):
+                assert (getattr(read, name).tobytes()
+                        == getattr(fresh, name).tobytes()), (n, name)
+        assert cache.misses == 1 and set(cache.entries) == {d}
+        return cache
 
     @pytest.mark.parametrize("d, larger", [(2, 40), (3, 40), (6, 14)])
-    def test_derived_entries_equal_the_enumeration(self, d, larger):
-        top = larger, _composition_matrix(larger, d)
-        for n in range(1, larger + 1):
-            cache = ensemble._CompositionCache()
-            self._assert_same_entry(cache.get(n, d, top), n, d)
-            assert cache.misses == (n < larger)
+    def test_tables_read_from_a_larger_entry_equal_fresh_ones(
+            self, monkeypatch, d, larger):
+        rng = np.random.default_rng(1700 + d)
+        r, bat = rng.dirichlet(np.ones(d)), random_battery(rng, d)
+        self._assert_read_down(monkeypatch, r, bat, larger,
+                               range(1, larger + 1))
 
-    def test_derivation_narrows_the_count_dtype(self):
-        # n' = 300 counts in uint16, n <= 255 in uint8
-        top = 300, _composition_matrix(300, 3)
-        assert top[1][0].dtype == np.uint16
-        for n in (299, 256, 255, 254, 128, 1):
-            entry = ensemble._CompositionCache().get(n, 3, top)
-            self._assert_same_entry(entry, n, 3)
-        assert entry[0].dtype == np.uint8
+    def test_reading_down_crosses_the_count_dtype(self, monkeypatch):
+        # n' = 300 counts in uint16, n <= 255 in uint8; the zero first
+        # level checks k_1 after it is lowered
+        bat = BatterySpec(np.array([0.0, 0.4, 1.3]))
+        cache = self._assert_read_down(monkeypatch, [0.0, 0.7, 0.3], bat, 300,
+                                       (299, 256, 255, 254, 128, 1))
+        assert cache.entries[3][0].dtype == np.uint16
+        assert _composition_matrix(255, 3).dtype == np.uint8
 
     def test_a_fresh_curve_enumerates_once(self, monkeypatch):
         monkeypatch.setattr(ensemble, "_compositions", ensemble._CompositionCache())
@@ -803,9 +866,9 @@ class TestNestedTables:
         self._curve_against_ascending_tables(monkeypatch, state, bat, 24)
 
     def test_a_top_too_large_to_cache_is_enumerated_once(self, monkeypatch):
-        # n = 200 at d = 3 holds 223,311 bytes and n <= 130 at most 95,106:
-        # the curve keeps its top entry and derives the rest from it
-        monkeypatch.setattr(ensemble, "COMPOSITION_CACHE_BYTES", 100_000)
+        # n = 200 at d = 3 holds 62,511 bytes: the curve keeps that entry
+        # in its workspace and reads every table from it
+        monkeypatch.setattr(ensemble, "COMPOSITION_CACHE_BYTES", 50_000)
         cache = ensemble._CompositionCache()
         monkeypatch.setattr(ensemble, "_compositions", cache)
         enumerated = []
@@ -816,5 +879,5 @@ class TestNestedTables:
         bat = BatterySpec(np.array([0.0, 0.579, 1.0]))
         curve(state, bat, 200)
         assert enumerated == [(200, 3)]
-        assert (200, 3) not in cache.entries and cache.nbytes <= 100_000
+        assert 3 not in cache.entries and cache.nbytes <= 50_000
         self._curve_against_ascending_tables(monkeypatch, state, bat, 200)
