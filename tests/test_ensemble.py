@@ -52,6 +52,8 @@ class TestCompositionMatrix:
                 t = build_level_table(np.full(d, 1.0 / d), bat, n)
                 np.testing.assert_allclose(t.log_mult, exact, rtol=1e-13,
                                            atol=0.0)
+                assert t.log_mult.shape == (composition_count(n, d),)
+                assert not t.log_mult.flags.writeable
 
     @pytest.mark.parametrize("d, n", [(3, 300), (8, 14), (3, 1024), (2, 70_000)])
     def test_large_n_is_every_composition_in_order(self, d, n):
