@@ -5,28 +5,24 @@ configuration |i_1 ... i_n> only through its composition (k_1, ..., k_d),
 the count of each level. One table row per composition, carrying a
 log-probability, a total energy and a log-multinomial multiplicity,
 replaces the d^n levels with C(n+d-1, d-1) rows. Probabilities and
-multiplicities stay in the log domain; the merge's count ladders are
-summed linearly in blocks of LADDER_BLOCK rows joined in logs, so no
-count is rescaled out of the normal float range.
+multiplicities stay in the log domain, and so do the merge's count
+ladders (_log_ladder).
 
-Compositions are cached one entry per d: the read-only (d, rows) counts
-of the largest n enumerated, of the smallest unsigned dtype that holds
-n, beside ln k! for k = 0..n. They are lexicographic with k_1 varying
-slowest, which gives the nesting rule: those of m < n are the last
-rows(m) columns of those of n, with k_1 lowered by n - m. The
-enumeration builds j parts from j - 1 by it, and every table reads its
-counts from the entry of d by it. Table rows, log-multiplicities too,
-are summed one level at a time, left to right, with no BLAS call, so
-each equals the scalar sum bit for bit. A table whose estimated peak,
-TABLE_BYTES_PER_ROW per row, exceeds TABLE_BYTE_BUDGET is refused
-before anything is allocated.
+Compositions are cached one entry per d (_CompositionCache). They are
+lexicographic with k_1 varying slowest, which gives the nesting rule:
+those of m < n are the last rows(m) columns of those of n, with k_1
+lowered by n - m. The enumeration builds j parts from j - 1 by it, and
+every table reads its counts from the entry of d by it. A table whose
+estimated peak, TABLE_BYTES_PER_ROW per row, exceeds TABLE_BYTE_BUDGET
+is refused before anything is allocated.
 
 curve evaluates n from its largest feasible n down to 1 in one
-_Workspace of row buffers, which the build and the merge write into with
-the same operations, in the same order, as with temporaries. Each merge
-hands its two sort orders down to the next, smaller table: the indices
-of the shared columns, shifted down, are that table's order whenever the
-keys they gather ascend with ties in index order, which is checked.
+_Workspace of seven rows, the first three the table's until the merge
+takes each over, with the same operations, in the same order, as with
+temporaries. Each merge hands its two sort orders down to the next,
+smaller table: the indices of the shared columns, shifted down, are that
+table's order whenever the keys they gather ascend with ties in index
+order, which is checked.
 """
 
 from __future__ import annotations
@@ -45,10 +41,10 @@ from .gibbs import entropy_target, match_entropy
 DEFAULT_COMPOSITION_CAP = 50_000_000
 COMPOSITION_CAP_ENV = "ERGOKIT_MAX_COMPOSITIONS"
 # estimated peak bytes of one uncached build plus its merge, per table
-# row; tracemalloc reads 149.6, 147.1 and 147.0 at (d, n) = (8, 14),
+# row; tracemalloc reads 111.9, 109.9 and 107.7 at (d, n) = (8, 14),
 # (6, 24) and (3, 1024), and a whole curve with its compositions cached
-# 119.1 and 124.4 at (8, 14) and (6, 24)
-TABLE_BYTES_PER_ROW = 200
+# 81.9, 87.1 and 90.5
+TABLE_BYTES_PER_ROW = 120
 # build_level_table refuses a table whose estimated peak exceeds this
 TABLE_BYTE_BUDGET = 2 * 2**30
 # the composition cache evicts its least recently used entries beyond this
@@ -62,8 +58,9 @@ LADDER_BLOCK = 2048
 # a linear block spans at most this in ln count, so each exp(x - block
 # max) >= e^-690 stays a normal float (those end near e^-708)
 LADDER_LINEAR_SPAN = 690.0
-# row buffers passive_energy_per_copy takes from its _Workspace
-_MERGE_BUFFERS = 9
+# passive_energy_per_copy's stage after its ladders runs over chunks of
+# this many rows
+MERGE_CHUNK = 8192
 _EPS = float(np.finfo(float).eps)
 
 
@@ -186,22 +183,22 @@ class WeightedLevelTable:
 
 class _Workspace:
     """Row buffers for build_level_table and passive_energy_per_copy, and
-    what curve, which reuses one for every n, carries from n to n - 1.
+    what curve carries from n to n - 1: levels (_level_weights), top (the
+    composition entry of an n at least its largest) and orders, the last
+    merge's two sort orders as int32, empty before the first merge.
 
-    floats holds rows of at least rows + 1 entries: the table's log_prob,
-    energy and log_mult, then _MERGE_BUFFERS rows for
-    passive_energy_per_copy, whose first three also hold one level's
-    terms during the build; flags is one bool row. curve sets levels
-    (_level_weights) and top, the composition entry (_CompositionCache)
-    of an n at least its largest. orders are the last merge's two sort
-    orders, as int32, handed down; empty before the first merge."""
+    floats holds the merge's seven rows of at least rows + 1 entries; the
+    build sums the table into the first three, which the merge takes over
+    once each is dead, and one level's terms into the next three. chunk
+    holds five rows for the merge's chunks, flags one bool row."""
 
     def __init__(self, rows: int):
         # whole 64-byte lines per row, so every row starts aligned alike
         width = (rows + 8) // 8 * 8
-        self.floats = np.empty((_MERGE_BUFFERS + 3, width))
+        self.floats = np.empty((7, width))
         self.flags = np.empty(width, dtype=bool)
-        self.merge = list(self.floats[3:])
+        self.merge = list(self.floats)
+        self.chunk = list(np.empty((5, min(width, MERGE_CHUNK + 8))))
         self.levels = self.top = None
         self.orders = [np.empty(0, dtype=np.int32)] * 2
 
@@ -251,14 +248,14 @@ def build_level_table(spectrum, battery: BatterySpec, n: int, *,
     the composition entry of an n' >= n: k_2..k_d are views of its last
     rows columns, and k_1 is its first row lowered by n' - n.
 
-    Before anything is allocated, the rows are checked against
-    composition_cap() and the estimated peak of build plus merge,
-    TABLE_BYTES_PER_ROW (200) bytes per row, against TABLE_BYTE_BUDGET;
+    Before anything is allocated, _table_error checks the rows against
+    composition_cap() and their estimated peak against TABLE_BYTE_BUDGET;
     either excess raises CapExceededError.
 
     The arrays are read-only and fresh, except under curve, whose
     _Workspace supplies the weights, the composition entry and the rows:
-    the table is then a view, valid until the next build.
+    the table is then a view of its first three rows, valid until its
+    merge, which takes them over.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
@@ -442,106 +439,111 @@ def passive_energy_per_copy(table: WeightedLevelTable, *,
     They catch a corrupted count ladder or energy integral, not a wrong
     row index that leaves every mean inside its rows.
 
-    Intermediates go to a _Workspace: curve's, or one made for this call.
-    The masses and e(n) are numpy sums, not BLAS dots, so their bits do
-    not depend on the BLAS thread count.
+    Intermediates go to a _Workspace: curve's, whose first three rows are
+    the table's, or one made for this call. After P, Q and F, rows go in
+    chunks of MERGE_CHUNK, but the masses and e(n) are numpy sums over
+    whole rows, not BLAS dots: no bit hangs on the chunks or BLAS threads.
     """
     lp, en, lm, n = table.log_prob, table.energy, table.log_mult, table.n
     rows = len(table)
     ws = _workspace if _workspace is not None else _Workspace(rows)
-    b, flags = ws.merge, ws.flags
+    b, c, flags = ws.merge, ws.chunk, ws.flags
+    # under curve b[0..2] are the table's rows, each written once dead
     # probability side: log_prob descending, i.e. -log_prob ascending; the
     # rows of zero probability (-log_prob = inf) sort last and are left out
     p_order, neg_lp = _merge_order(ws, 0, np.negative(lp, out=b[0][:rows]),
-                                   b[1][:rows], flags)
+                                   b[3][:rows], flags)
     m = int(neg_lp.searchsorted(np.inf))
     if m == 0:
         raise ValidationError("table has no nonzero-probability entries")
     p_order, neg_lp = p_order[:m], neg_lp[:m]
     # energy side: all levels, energy ascending
-    e_order, energy = _merge_order(ws, 1, en, b[2][:rows], flags)
+    e_order, energy = _merge_order(ws, 1, en, b[0][:rows], flags)
 
-    lm_p = lm.take(p_order, out=b[0][:m], mode="clip")
-    P = _log_ladder(lm_p, b[3][:m + 1])
-    P_lo, P_hi = P[:-1], P[1:]
-    lm_e = lm.take(e_order, out=b[4][:rows], mode="clip")
-    excess = np.subtract(energy, energy[0], out=b[5][:rows])
-    Q = _log_ladder(lm_e, b[6][:rows + 1])
-    # ln(count * excess) per energy row; -inf on the ground row
-    log_excess = b[7][:rows]
-    log_excess.fill(-np.inf)
-    lm_e += np.log(excess, out=log_excess,
-                   where=np.greater(excess, 0.0, out=flags[:rows]))
-    F = _log_ladder(lm_e, b[7][:rows + 1])
-
-    # energy row j holds the counts (Q[j], Q[j + 1]]; ladder point P_i
-    # falls in row g_at[i] (row 0 for P_0 = -inf), clamped so an ulp of
-    # overshoot stays in the last row; interval i ends in row g = g_at[i+1]
-    g_at = Q[1:].searchsorted(P)
-    np.minimum(g_at, rows - 1, out=g_at)
-    g = g_at[1:]
-    q_below = Q.take(g, out=b[4][:m], mode="clip")
-    # A[i] = F(P_i) / P_i, the mean excess energy over [0, P_i):
-    # A[1:] = exp(F[g] - P_hi) - expm1(q_below - P_hi) * excess[g]
-    A = b[8][:m + 1]
-    A[0] = 0.0
-    head = np.subtract(F.take(g, out=A[1:], mode="clip"), P_hi, out=A[1:])
-    np.exp(head, out=head)
-    tail = np.subtract(q_below, P_hi, out=b[6][:m])
-    np.expm1(tail, out=tail)
-    tail *= excess.take(g, out=b[7][:m], mode="clip")
-    head -= tail
-    # width / P_i = -expm1(P_lo - P_hi); an interval crosses an energy
-    # boundary iff one lies strictly above its start
-    rel_width = np.subtract(P_lo, P_hi, out=b[5][:m])
-    np.expm1(rel_width, out=rel_width)
-    np.negative(rel_width, out=rel_width)
-    cross = np.greater(q_below, P_lo, out=flags[:m]).nonzero()[0]
-    c = cross.size
-    # mean_cross = energy[0] + (a_lo + (a_hi - a_lo) / rw), with a_lo,
-    # a_hi and rw = A[cross], A[cross + 1] and rel_width[cross]
-    a_lo = A.take(cross, out=b[6][:c], mode="clip")
-    rw = rel_width.take(cross, out=b[4][:c], mode="clip")
-    mean_cross = A[1:].take(cross, out=b[7][:c], mode="clip")
-    mean_cross -= a_lo
-    mean_cross /= rw
-    np.add(a_lo, mean_cross, out=mean_cross)
-    np.add(energy[0], mean_cross, out=mean_cross)
-    mean = energy.take(g, out=b[6][:m], mode="clip")
-    mean[cross] = mean_cross
+    lm_p = lm.take(p_order, out=b[1][:m], mode="clip")
+    P = _log_ladder(lm_p, b[4][:m + 1])
+    lm_e = lm.take(e_order, out=b[5][:rows], mode="clip")
+    Q = _log_ladder(lm_e, b[2][:rows + 1])
+    # ln(count * excess) per energy row; -inf on the ground rows
+    log_excess = np.subtract(energy, energy[0], out=b[6][:rows])
+    with np.errstate(divide="ignore"):
+        lm_e += np.log(log_excess, out=log_excess)
+    F = _log_ladder(lm_e, b[6][:rows + 1])
 
     # neg_lp = -log_prob, so these are the sums log_prob + ln count
     mass = np.subtract(lm_p, neg_lp, out=lm_p)
     np.exp(mass, out=mass)
     row_mass = float(mass.sum())
-    p_width = np.subtract(P_hi, neg_lp, out=neg_lp)
+    p_width = np.subtract(P[1:], neg_lp, out=neg_lp)
     np.exp(p_width, out=p_width)
-    ladder_mass = float(np.multiply(p_width, rel_width, out=p_width).sum())
     # worst-case ladder rounding, relative: a log step rounds ln count by
     # eps * ln count, and so does a linear block's x - max, as counts are
     # >= 1 and |x - max| <= ln total; rows such steps, or rows additions
     # of a linear running sum, stay within rows * eps * (1 + ln total)
-    slack = m * _EPS * (1.0 + float(P_hi[-1]))
+    slack = m * _EPS * (1.0 + float(P[-1]))
+    bound = 8.0 * slack * (abs(float(energy[0])) + abs(float(energy[-1])))
+    # per chunk of rows s..t-1; p_width and mass stay whole for their sums
+    inside, a_end = True, 0.0
+    for s in range(0, m, MERGE_CHUNK):
+        t = min(s + MERGE_CHUNK, m)
+        L, P_lo, P_hi = t - s, P[s:t], P[s + 1:t + 1]
+        # energy row j holds the counts (Q[j], Q[j + 1]]; P_i falls in row
+        # g_at[i] (row 0 for P_0 = -inf), clamped so an ulp of overshoot
+        # stays in the last row; interval i ends in row g[i]
+        g_at = np.minimum(Q[1:].searchsorted(P[s:t + 1]), rows - 1)
+        g = g_at[1:]
+        q_below = Q.take(g, out=c[0][:L], mode="clip")
+        mean = energy.take(g, out=c[1][:L], mode="clip")
+        # A[i] = F(P_i) / P_i, the mean excess energy over [0, P_i), A[0]
+        # the last chunk's end: A[1:] = exp(F[g] - P_hi) -
+        # expm1(q_below - P_hi) * (energy[g] - energy[0])
+        A = c[2][:L + 1]
+        A[0] = a_end
+        head = np.subtract(F.take(g, out=A[1:], mode="clip"), P_hi, out=A[1:])
+        np.exp(head, out=head)
+        tail = np.subtract(q_below, P_hi, out=c[3][:L])
+        np.expm1(tail, out=tail)
+        tail *= np.subtract(mean, energy[0], out=c[4][:L])
+        head -= tail
+        a_end = A[L]
+        # width / P_i = -expm1(P_lo - P_hi); an interval crosses an energy
+        # boundary iff one lies strictly above its start
+        rel_width = np.subtract(P_lo, P_hi, out=c[4][:L])
+        np.expm1(rel_width, out=rel_width)
+        np.negative(rel_width, out=rel_width)
+        p_width[s:t] *= rel_width
+        cross = np.greater(q_below, P_lo, out=flags[:L]).nonzero()[0]
+        k = cross.size
+        # mean_cross = energy[0] + (a_lo + (a_hi - a_lo) / rw), with a_lo,
+        # a_hi and rw = A[cross], A[cross + 1] and rel_width[cross]
+        a_lo = A.take(cross, out=c[3][:k], mode="clip")
+        rw = rel_width.take(cross, out=c[0][:k], mode="clip")
+        mean_cross = A[1:].take(cross, out=c[4][:k], mode="clip")
+        mean_cross -= a_lo
+        mean_cross /= rw
+        np.add(a_lo, mean_cross, out=mean_cross)
+        np.add(energy[0], mean_cross, out=mean_cross)
+        # ladder errors move a crossing mean by a few times bound / 8 / rw:
+        # stray = max(energy[g_at[i]] - mean, mean - energy[g[i]]) * rw
+        above = mean.take(cross, out=c[3][:k], mode="clip")
+        np.subtract(mean_cross, above, out=above)
+        mean[cross] = mean_cross
+        mass[s:t] *= mean
+        stray = energy.take(g_at[cross], out=c[2][:k], mode="clip")
+        stray -= mean_cross
+        np.maximum(stray, above, out=stray)
+        stray *= rw
+        inside &= bool(np.less_equal(stray, bound, out=flags[:k]).all())
+    ladder_mass = float(p_width.sum())
     if not abs(ladder_mass - row_mass) <= slack * row_mass:
         raise NoConvergenceError(
             f"passive merge lost mass: ladder {ladder_mass!r} vs rows "
             f"{row_mass!r} over {m} rows (n={n})")
-    # a crossing interval runs from row g_at[i] to row g_at[i + 1]; the
-    # ladder errors in A and the width move its mean by a few times
-    # slack * scale / rel_width:
-    # stray = max(energy[g_at[cross]] - mean_cross, mean_cross - energy[g[cross]])
-    stray = energy.take(g_at[cross], out=b[1][:c], mode="clip")
-    stray -= mean_cross
-    above = energy.take(g[cross], out=b[5][:c], mode="clip")
-    np.subtract(mean_cross, above, out=above)
-    np.maximum(stray, above, out=stray)
-    stray *= rw
-    scale = abs(float(energy[0])) + abs(float(energy[-1]))
-    if not np.less_equal(stray, 8.0 * slack * scale, out=flags[:c]).all():
+    if not inside:
         raise NoConvergenceError(
             f"passive merge: an interval mean lies outside its energy rows "
             f"over {m} rows (n={n})")
-    return float(np.multiply(mass, mean, out=mass).sum()) / n
+    return float(mass.sum()) / n
 
 
 def brute_force_oracle(spectrum, battery: BatterySpec, n: int) -> float:
@@ -586,11 +588,9 @@ def curve(state: QuantumState, battery: BatterySpec, n_max: int) -> EnsembleCurv
     partial curve, found before any table is built.
 
     n runs from the largest feasible n down to 1 in one _Workspace sized
-    to that table. It holds the spectrum's weights, validated once; the
-    composition entry of d, of an n at least that one, which every table
-    reads its counts from, held even when too large to cache; and the
-    sort orders each merge hands down to the next.
-    passive_energy still lists n ascending.
+    to that table, with the spectrum validated once and the composition
+    entry held even when too large to cache. passive_energy still lists
+    n ascending.
     """
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")

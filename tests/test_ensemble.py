@@ -184,11 +184,13 @@ class TestBuildLevelTable:
         assert "byte budget" in str(exc.value)
         assert ensemble._compositions.misses == misses
         assert enumerated == []
-        # a curve stops at the last n whose estimate fits: C(32, 2) = 496
-        # rows at n = 30, 528 at n = 31
+        # a curve stops at the last n whose estimate fits: C(n + 2, 2) rows
+        # of TABLE_BYTES_PER_ROW bytes each
+        last_fit = max(n for n in range(1, 41) if math.comb(n + 2, 2)
+                       * ensemble.TABLE_BYTES_PER_ROW <= budget)
         with pytest.raises(CapExceededError) as exc:
             curve(QuantumState.diagonal(DEMO_SPECTRUM), demo_battery, 40)
-        assert exc.value.largest_feasible_n == 30
+        assert exc.value.largest_feasible_n == last_fit
         assert all(rows * ensemble.TABLE_BYTES_PER_ROW <= budget
                    for rows in enumerated)
 
@@ -198,7 +200,7 @@ class TestBuildLevelTable:
         with pytest.raises(ValidationError):
             build_level_table([1.1, -0.1, 0.0], demo_battery, 2)
 
-    @pytest.mark.parametrize("d, n", [(8, 14), (6, 24)])
+    @pytest.mark.parametrize("d, n", [(8, 14), (6, 24), (3, 1024)])
     def test_bytes_per_row_bound_the_peak(self, d, n, monkeypatch):
         # the byte budget refuses tables by this estimate, so it must
         # cover the real peak of an uncached build plus its merge
@@ -213,7 +215,8 @@ class TestBuildLevelTable:
         finally:
             tracemalloc.stop()
         assert len(t) > 100_000
-        assert peak <= ensemble.TABLE_BYTES_PER_ROW * len(t)
+        assert peak <= ensemble.TABLE_BYTES_PER_ROW * len(t), \
+            f"{peak / len(t):.1f} bytes per row"
 
 
 class TestPassiveEnergyPerCopy:
@@ -255,6 +258,43 @@ class TestPassiveEnergyPerCopy:
                 n=t.n, dim=t.dim, log_prob=t.log_prob[perm],
                 energy=t.energy[perm], log_mult=t.log_mult[perm])
             assert abs(passive_energy_per_copy(shuffled) - reference) <= 1e-12
+
+    @pytest.mark.parametrize("spectrum, n", [(SKEWED_SPECTRUM, 181),
+                                             ((0.7, 0.3, 0.0), 30)])
+    def test_leaves_the_table_as_it_is(self, demo_battery, spectrum, n):
+        # under curve the merge takes its table's rows over; a table
+        # passed alone must come back byte for byte
+        t = build_level_table(spectrum, demo_battery, n)
+        arrays = (t.log_prob, t.energy, t.log_mult)
+        before = [a.tobytes() for a in arrays]
+        passive_energy_per_copy(t)
+        assert [a.tobytes() for a in arrays] == before
+        assert not any(a.flags.writeable for a in arrays)
+
+    def test_chunks_move_no_bit(self, demo_battery, monkeypatch):
+        # the unit-trace demo at n = 181: 16,653 rows in three chunks, and
+        # the interval that opens the second crosses energy rows, so its
+        # mean starts from the first chunk's last A
+        r = np.array(DEMO_SPECTRUM) / sum(DEMO_SPECTRUM)
+        t = build_level_table(r, demo_battery, 181)
+        chunk = ensemble.MERGE_CHUNK
+        assert len(t) > 2 * chunk
+        assert chunk in _crossing_intervals(t)
+        bits = set()
+        for size in (chunk, 1000, 2**40):
+            monkeypatch.setattr(ensemble, "MERGE_CHUNK", size)
+            bits.add(passive_energy_per_copy(t).hex())
+        assert len(bits) == 1
+
+
+def _crossing_intervals(t):
+    """The probability rows i (log_prob descending) whose count interval
+    [P_i, P_(i+1)) crosses a boundary between energy rows."""
+    m = int(np.count_nonzero(t.log_prob > -np.inf))
+    P = ensemble._log_ladder(t.log_mult[np.argsort(-t.log_prob, kind="stable")][:m])
+    Q = ensemble._log_ladder(t.log_mult[np.argsort(t.energy, kind="stable")])
+    ends = np.minimum(Q[1:].searchsorted(P[1:]), len(t) - 1)
+    return set(np.nonzero(Q[ends] > P[:-1])[0].tolist())
 
 
 class TestExactOracle:
@@ -490,6 +530,9 @@ class TestCurve:
         # tied integer ladder (stable sorts); 2,556 rows at n = 70, past
         # one LADDER_BLOCK
         ((0.25, 0.5, 0.25), (0.0, 1.0, 2.0), 70),
+        # the unit-trace demo: three merge chunks at n = 181, a crossing
+        # interval opening the second (test_chunks_move_no_bit)
+        (tuple(np.array(DEMO_SPECTRUM) / sum(DEMO_SPECTRUM)), DEMO_ENERGIES, 181),
     ])
     def test_workspace_gives_the_fresh_tables_bits(self, spectrum, energies,
                                                    n_max):
@@ -542,11 +585,11 @@ class TestCurve:
     @pytest.mark.parametrize("d, n_max", [(8, 14), (6, 24)])
     def test_peak_within_the_byte_estimate(self, d, n_max, monkeypatch):
         # with its compositions cached, a whole curve stays within the
-        # estimate that the byte budget applies to its largest table
+        # estimate that the byte budget applies to its largest table; the
+        # one entry of d serves every n
         monkeypatch.setattr(ensemble, "_compositions",
                             ensemble._CompositionCache())
-        for n in range(1, n_max + 1):
-            ensemble._compositions.get(n, d)
+        ensemble._compositions.get(n_max, d)
         r = np.random.default_rng(100 * d + n_max).dirichlet(np.ones(d))
         state, bat = QuantumState.diagonal(r), BatterySpec(np.arange(float(d)))
         tracemalloc.start()
@@ -555,7 +598,9 @@ class TestCurve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= ensemble.TABLE_BYTES_PER_ROW * composition_count(n_max, d)
+        rows = composition_count(n_max, d)
+        assert peak <= ensemble.TABLE_BYTES_PER_ROW * rows, \
+            f"{peak / rows:.1f} bytes per row"
 
     def test_structural_bounds_on_demo(self, demo_battery, demo_anti_state):
         c = curve(demo_anti_state, demo_battery, 12)
