@@ -513,27 +513,27 @@ def passive_energy_per_copy(table: WeightedLevelTable, *,
         np.negative(rel_width, out=rel_width)
         p_width[s:t] *= rel_width
         cross = np.greater(q_below, P_lo, out=flags[:L]).nonzero()[0]
-        k = cross.size
-        # mean_cross = energy[0] + (a_lo + (a_hi - a_lo) / rw), with a_lo,
-        # a_hi and rw = A[cross], A[cross + 1] and rel_width[cross]
-        a_lo = A.take(cross, out=c[3][:k], mode="clip")
-        rw = rel_width.take(cross, out=c[0][:k], mode="clip")
-        mean_cross = A[1:].take(cross, out=c[4][:k], mode="clip")
-        mean_cross -= a_lo
-        mean_cross /= rw
-        np.add(a_lo, mean_cross, out=mean_cross)
-        np.add(energy[0], mean_cross, out=mean_cross)
-        # ladder errors move a crossing mean by a few times bound / 8 / rw:
-        # stray = max(energy[g_at[i]] - mean, mean - energy[g[i]]) * rw
-        above = mean.take(cross, out=c[3][:k], mode="clip")
-        np.subtract(mean_cross, above, out=above)
-        mean[cross] = mean_cross
+        if k := cross.size:
+            # mean_cross = energy[0] + (a_lo + (a_hi - a_lo) / rw), with
+            # a_lo, a_hi and rw = A[cross], A[cross + 1] and rel_width[cross]
+            a_lo = A.take(cross, out=c[3][:k], mode="clip")
+            rw = rel_width.take(cross, out=c[0][:k], mode="clip")
+            mean_cross = A[1:].take(cross, out=c[4][:k], mode="clip")
+            mean_cross -= a_lo
+            mean_cross /= rw
+            np.add(a_lo, mean_cross, out=mean_cross)
+            np.add(energy[0], mean_cross, out=mean_cross)
+            # ladder errors move a crossing mean by a few times bound / 8 /
+            # rw: stray = max(energy[g_at[i]] - mean, mean - energy[g[i]]) * rw
+            above = mean.take(cross, out=c[3][:k], mode="clip")
+            np.subtract(mean_cross, above, out=above)
+            mean[cross] = mean_cross
+            stray = energy.take(g_at[cross], out=c[2][:k], mode="clip")
+            stray -= mean_cross
+            np.maximum(stray, above, out=stray)
+            stray *= rw
+            inside &= bool(np.less_equal(stray, bound, out=flags[:k]).all())
         mass[s:t] *= mean
-        stray = energy.take(g_at[cross], out=c[2][:k], mode="clip")
-        stray -= mean_cross
-        np.maximum(stray, above, out=stray)
-        stray *= rw
-        inside &= bool(np.less_equal(stray, bound, out=flags[:k]).all())
     ladder_mass = float(p_width.sum())
     if not abs(ladder_mass - row_mass) <= slack * row_mass:
         raise NoConvergenceError(
