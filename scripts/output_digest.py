@@ -27,7 +27,9 @@ orders a curve hands from n to n - 1 fail their check and it sorts
 afresh) and on the unit-trace qutrit demo to n = 200; and the
 ergotropy, curve, simulate and oracle subcommands on the demo files,
 their exit codes, stdout, stderr and CSV. One simulate run has a
-segment whose phase overflows the float range.
+segment whose phase overflows the float range, and two runs are
+refused: oracle past the brute-force cap, and curve past the table byte
+budget, lowered to 10 rows for that run.
 
 Two records, printed as they are rather than hashed, name what the bits
 depend on besides the code: machine.numpy_dispatch, the highest SIMD
@@ -215,6 +217,17 @@ def cli_records(cli, tmp: Path):
         run_cli(cli, f"cli.{demo}.oracle", ["oracle", path, "--n", "5"])
     run_cli(cli, "cli.qubit.simulate", ["simulate", qubit, swap])
     run_cli(cli, "cli.qubit.simulate_overflow", ["simulate", qubit, str(overflow)])
+    # 3^15 levels exceed the brute-force cap
+    run_cli(cli, "cli.qutrit.oracle_over_cap", ["oracle", qutrit, "--n", "15"])
+    ensemble = sys.modules["ergokit.ensemble"]
+    budget = ensemble.TABLE_BYTE_BUDGET
+    ensemble.TABLE_BYTE_BUDGET = 10 * ensemble.TABLE_BYTES_PER_ROW
+    try:
+        csv = tmp / "over_budget.csv"
+        run_cli(cli, "cli.qutrit.curve_over_budget",
+                ["curve", qutrit, "--n-max", "8", "--out", str(csv)], csv)
+    finally:
+        ensemble.TABLE_BYTE_BUDGET = budget
 
 
 def main():

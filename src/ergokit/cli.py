@@ -8,7 +8,7 @@ optional "label". Schedule files are JSON arrays of {"duration": t,
 significant digits so values round-trip exactly.
 
 Exit codes: 0 ok, 2 parse/validation error, 3 numerical failure,
-4 enumeration cap exceeded, 5 oracle mismatch.
+4 table byte budget or brute-force cap exceeded, 5 oracle mismatch.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import sys
 import numpy as np
 
 from .battery import BatterySpec, QuantumState, passive_state
-from .ensemble import (COMPOSITION_CAP_ENV, brute_force_oracle, build_level_table,
-                       curve, passive_energy_per_copy)
+from .ensemble import (brute_force_oracle, build_level_table, curve,
+                       passive_energy_per_copy)
 from .errors import (CapExceededError, ErgokitError, NoConvergenceError,
                      ValidationError)
 from .gibbs import entropy, entropy_target, match_entropy
@@ -237,9 +237,11 @@ def cmd_simulate(args) -> int:
 def cmd_oracle(args) -> int:
     battery, state, _ = load_problem(args.problem)
     spectrum = state.spectrum_descending
+    # the brute-force cap binds long before the byte budget, so an
+    # oversized n is refused before the compressed table is built
+    brute = brute_force_oracle(spectrum, battery, args.n)
     compressed = passive_energy_per_copy(
         build_level_table(spectrum, battery, args.n))
-    brute = brute_force_oracle(spectrum, battery, args.n)
     diff = abs(compressed - brute)
     print(f"n:                {args.n}")
     print(f"compressed e(n):  {fmt(compressed)}")
@@ -264,9 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     change it, and its handlers look up what they call when they run."""
     parser = argparse.ArgumentParser(
         prog="ergokit",
-        description="Work extraction from finite-level quantum batteries.",
-        epilog=f"The enumeration cap can be overridden with the "
-               f"{COMPOSITION_CAP_ENV} environment variable.")
+        description="Work extraction from finite-level quantum batteries.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ergotropy",

@@ -12,9 +12,10 @@ Compositions are cached one entry per d (_CompositionCache). They are
 lexicographic with k_1 varying slowest, which gives the nesting rule:
 those of m < n are the last rows(m) columns of those of n, with k_1
 lowered by n - m. The enumeration builds j parts from j - 1 by it, and
-every table reads its counts from the entry of d by it. A table whose
-estimated peak, TABLE_BYTES_PER_ROW per row, exceeds TABLE_BYTE_BUDGET
-is refused before anything is allocated.
+every table reads its counts from the entry of d by it. The one limit
+on a table is TABLE_BYTE_BUDGET: a table whose estimated peak,
+TABLE_BYTES_PER_ROW per row, exceeds it is refused before anything is
+allocated.
 
 curve evaluates n from its largest feasible n down to 1 in one
 _Workspace of seven rows, the first three the table's until the merge
@@ -28,7 +29,6 @@ order, which is checked.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,10 +38,8 @@ from .errors import (CapExceededError, NoConvergenceError, NotDiagonalError,
                      ValidationError)
 from .gibbs import entropy_target, match_entropy
 
-DEFAULT_COMPOSITION_CAP = 50_000_000
-COMPOSITION_CAP_ENV = "ERGOKIT_MAX_COMPOSITIONS"
 # estimated peak bytes of one uncached build plus its merge, per table
-# row; tracemalloc reads 111.9, 109.9 and 107.7 at (d, n) = (8, 14),
+# row; tracemalloc reads 107.9, 105.8 and 103.7 at (d, n) = (8, 14),
 # (6, 24) and (3, 1024), and a whole curve with its compositions cached
 # 81.9, 87.1 and 90.5
 TABLE_BYTES_PER_ROW = 120
@@ -64,22 +62,6 @@ MERGE_CHUNK = 8192
 _EPS = float(np.finfo(float).eps)
 
 
-def composition_cap() -> int:
-    """Enumeration cap: the environment override, else the built-in
-    default."""
-    env = os.environ.get(COMPOSITION_CAP_ENV)
-    if env is None:
-        return DEFAULT_COMPOSITION_CAP
-    try:
-        value = int(env)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValidationError(
-            f"{COMPOSITION_CAP_ENV} must be an integer >= 1, got {env!r}")
-    return value
-
-
 def composition_count(n: int, d: int) -> int:
     return math.comb(n + d - 1, d - 1)
 
@@ -91,15 +73,12 @@ def _cap_error(required: int, cap: int, what: str,
 
 
 def _table_error(n: int, d: int) -> CapExceededError | None:
-    """Why the (n, d) level table is refused, or None: its rows exceed
-    composition_cap(), or at TABLE_BYTES_PER_ROW bytes each they exceed
-    TABLE_BYTE_BUDGET."""
+    """Why the (n, d) level table is refused, or None: at
+    TABLE_BYTES_PER_ROW bytes per row it exceeds TABLE_BYTE_BUDGET."""
     rows = composition_count(n, d)
-    return (_cap_error(rows, composition_cap(), "compositions exceed the cap",
-                       f" (override with {COMPOSITION_CAP_ENV})")
-            or _cap_error(rows * TABLE_BYTES_PER_ROW, TABLE_BYTE_BUDGET,
-                          "estimated bytes exceed the table byte budget",
-                          f" ({rows} rows at {TABLE_BYTES_PER_ROW} bytes each)"))
+    return _cap_error(rows * TABLE_BYTES_PER_ROW, TABLE_BYTE_BUDGET,
+                      "estimated bytes exceed the table byte budget",
+                      f" ({rows} rows at {TABLE_BYTES_PER_ROW} bytes each)")
 
 
 def _composition_matrix(n: int, d: int) -> np.ndarray:
@@ -217,6 +196,8 @@ def _validated_spectrum(spectrum, d: int) -> np.ndarray:
     if r.ndim != 1 or r.size != d:
         raise ValidationError(
             f"spectrum must be a length-{d} vector, got shape {r.shape}")
+    if not np.isfinite(r).all():
+        raise ValidationError(f"spectrum entries must be finite, got {r.tolist()!r}")
     if r.min() < 0.0:
         raise ValidationError(f"spectrum entries must be >= 0, got min {r.min()!r}")
     s = float(r.sum())
@@ -248,9 +229,9 @@ def build_level_table(spectrum, battery: BatterySpec, n: int, *,
     the composition entry of an n' >= n: k_2..k_d are views of its last
     rows columns, and k_1 is its first row lowered by n' - n.
 
-    Before anything is allocated, _table_error checks the rows against
-    composition_cap() and their estimated peak against TABLE_BYTE_BUDGET;
-    either excess raises CapExceededError.
+    Before anything is allocated, _table_error checks the table's
+    estimated peak against TABLE_BYTE_BUDGET; an excess raises
+    CapExceededError.
 
     The arrays are read-only and fresh, except under curve, whose
     _Workspace supplies the weights, the composition entry and the rows:
@@ -297,7 +278,9 @@ def _sort_order(key: np.ndarray, out: np.ndarray,
     # into a fresh temporary before copying to out
     sorted_key = key.take(order, out=out, mode="clip")
     if np.equal(sorted_key[1:], sorted_key[:-1], out=flags[:key.size - 1]).any():
-        # gathered again so that 0.0 and -0.0, which tie, keep their bits
+        # gathered again so that 0.0 and -0.0, which tie, keep their bits;
+        # the plain order goes first, so one int64 order is held at a time
+        del order
         order = key.argsort(kind="stable")
         key.take(order, out=out, mode="clip")
     return order, sorted_key
@@ -583,9 +566,9 @@ def curve(state: QuantumState, battery: BatterySpec, n_max: int) -> EnsembleCurv
 
     e(n) depends only on the spectrum of rho (conjugation-invariant);
     w(n) = tr(rho H) - e(n) uses the energy of the supplied state. If the
-    composition cap or the table byte budget refuses a table before n_max,
-    raises CapExceededError carrying the largest feasible n and the
-    partial curve, found before any table is built.
+    table byte budget refuses a table before n_max, raises
+    CapExceededError carrying the largest feasible n and the partial
+    curve, found before any table is built.
 
     n runs from the largest feasible n down to 1 in one _Workspace sized
     to that table, with the spectrum validated once and the composition

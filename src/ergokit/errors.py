@@ -35,7 +35,8 @@ class TargetOutOfRangeError(ValidationError):
 
 
 class CapExceededError(ErgokitError):
-    """Requested enumeration is larger than the configured cap.
+    """A level table's estimated bytes exceed the table byte budget, or a
+    brute-force product expansion exceeds its level cap.
 
     Attributes carry enough context for callers to report what was
     feasible: ``required`` (the size that was asked for), ``cap``, and,

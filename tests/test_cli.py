@@ -193,17 +193,6 @@ class TestCurveCommand:
         for line in out.read_text().splitlines()[1:]:
             assert abs(float(line.split(",")[4])) <= 1e-9
 
-    def test_cap_exceeded_writes_feasible_rows(self, qubit_file, tmp_path,
-                                               monkeypatch, capsys):
-        monkeypatch.setenv("ERGOKIT_MAX_COMPOSITIONS", "5")
-        out = tmp_path / "cap.csv"
-        assert cli.main(["curve", qubit_file, "--n-max", "10",
-                         "--out", str(out)]) == 4
-        lines = out.read_text().splitlines()
-        # d = 2: n + 1 compositions, so n = 4 is the last feasible point
-        assert len(lines) == 5
-        assert "cap" in capsys.readouterr().err
-
     def test_byte_budget_exceeded_writes_feasible_rows(self, qubit_file,
                                                        tmp_path, monkeypatch,
                                                        capsys):
@@ -215,17 +204,6 @@ class TestCurveCommand:
                          "--out", str(out)]) == 4
         assert len(out.read_text().splitlines()) == 5
         assert "byte budget" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["lots", "0", "-5"])
-    def test_invalid_cap_env_exits_2(self, qubit_file, tmp_path, value):
-        env = dict(os.environ, ERGOKIT_MAX_COMPOSITIONS=value)
-        proc = subprocess.run(
-            [sys.executable, "-m", "ergokit", "curve", qubit_file,
-             "--n-max", "3", "--out", str(tmp_path / "c.csv")],
-            capture_output=True, text=True, env=env)
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert "ERGOKIT_MAX_COMPOSITIONS" in proc.stderr
 
     def test_entropy_above_ln_d_matches_beta_zero(self, overfull_file,
                                                   tmp_path):
@@ -377,8 +355,15 @@ class TestOracleCommand:
         diff = float(capsys.readouterr().out.split("difference:")[1].strip())
         assert diff <= 1e-10
 
-    def test_brute_force_cap_exits_4(self, demo_file, capsys):
+    def test_brute_force_cap_exits_4(self, demo_file, monkeypatch, capsys):
+        # 3^20 levels: refused before the compressed table is built
+        built = []
+        real = cli.build_level_table
+        monkeypatch.setattr(cli, "build_level_table",
+                            lambda *a, **k: built.append(a) or real(*a, **k))
         assert cli.main(["oracle", demo_file, "--n", "20"]) == 4
+        assert built == []
+        assert "brute-force cap" in capsys.readouterr().err
 
     def test_failed_merge_invariant_exits_3(self, demo_file, monkeypatch,
                                             capsys):
@@ -422,7 +407,6 @@ class TestEntryPoints:
         proc = subprocess.run([sys.executable, "-m", "ergokit", "--help"],
                               capture_output=True, text=True)
         assert proc.returncode == 0
-        assert "ERGOKIT_MAX_COMPOSITIONS" in proc.stdout
 
     def test_subcommand_help_documents_tol(self):
         proc = subprocess.run(

@@ -120,11 +120,13 @@ class TestBuildLevelTable:
                                                          rel=1e-9)
 
     def test_cap_exceeded(self, demo_battery, monkeypatch):
-        monkeypatch.setenv("ERGOKIT_MAX_COMPOSITIONS", "5")
+        monkeypatch.setattr(ensemble, "TABLE_BYTE_BUDGET",
+                            5 * ensemble.TABLE_BYTES_PER_ROW)
         with pytest.raises(CapExceededError) as exc:
             build_level_table(DEMO_SPECTRUM, demo_battery, 10)
-        assert exc.value.required == composition_count(10, 3)
-        assert exc.value.cap == 5
+        assert exc.value.required == (composition_count(10, 3)
+                                      * ensemble.TABLE_BYTES_PER_ROW)
+        assert exc.value.cap == 5 * ensemble.TABLE_BYTES_PER_ROW
 
     @pytest.mark.parametrize("d, n, zero_level", [(6, 24, False),
                                                   (8, 14, False),
@@ -199,6 +201,26 @@ class TestBuildLevelTable:
             build_level_table([0.5, 0.3, 0.1], demo_battery, 2)
         with pytest.raises(ValidationError):
             build_level_table([1.1, -0.1, 0.0], demo_battery, 2)
+        # NaN fails every comparison, so it passes the sign and trace checks
+        for entry in (build_level_table, brute_force_oracle):
+            with pytest.raises(ValidationError, match="finite"):
+                entry([math.nan, 0.5, 0.5], demo_battery, 2)
+
+    def test_tied_key_sort_holds_one_order(self):
+        # a tied key is sorted twice; the plain argsort's int64 order is
+        # freed before the stable sort makes its own
+        t = build_level_table([0.25, 0.5, 0.25], BatterySpec(np.arange(3.0)), 1024)
+        key = np.array(t.energy)
+        assert np.unique(key).size < key.size
+        out, flags = np.empty(key.size), np.empty(key.size, dtype=bool)
+        tracemalloc.start()
+        try:
+            order, _ = ensemble._sort_order(key, out, flags)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(order, key.argsort(kind="stable"))
+        assert peak <= 9 * key.size, f"{peak / key.size:.1f} bytes per row"
 
     @pytest.mark.parametrize("d, n", [(8, 14), (6, 24), (3, 1024)])
     def test_bytes_per_row_bound_the_peak(self, d, n, monkeypatch):
@@ -515,7 +537,8 @@ class TestCurve:
 
     def test_cap_exceeded_carries_partial(self, demo_battery, demo_anti_state,
                                           monkeypatch):
-        monkeypatch.setenv("ERGOKIT_MAX_COMPOSITIONS", str(composition_count(4, 3)))
+        monkeypatch.setattr(ensemble, "TABLE_BYTE_BUDGET",
+                            composition_count(4, 3) * ensemble.TABLE_BYTES_PER_ROW)
         with pytest.raises(CapExceededError) as exc:
             curve(demo_anti_state, demo_battery, 10)
         assert exc.value.largest_feasible_n == 4
@@ -547,12 +570,14 @@ class TestCurve:
     def test_cap_stopped_partial_has_the_fresh_tables_bits(self, demo_battery,
                                                            monkeypatch):
         # 2,145 rows at n = 64
-        monkeypatch.setenv("ERGOKIT_MAX_COMPOSITIONS", str(composition_count(64, 3)))
+        monkeypatch.setattr(ensemble, "TABLE_BYTE_BUDGET",
+                            composition_count(64, 3) * ensemble.TABLE_BYTES_PER_ROW)
         state = QuantumState.diagonal(SKEWED_SPECTRUM)
         with pytest.raises(CapExceededError) as exc:
             curve(state, demo_battery, 100)
         assert exc.value.largest_feasible_n == 64
-        assert exc.value.required == composition_count(65, 3)
+        assert exc.value.required == (composition_count(65, 3)
+                                      * ensemble.TABLE_BYTES_PER_ROW)
         assert "curve stopped at n=65" in str(exc.value)
         e = exc.value.partial.passive_energy
         assert list(e) == list(range(1, 65))
@@ -663,7 +688,8 @@ class TestCompletePassivity:
 
     def test_cap_exceeded_carries_partial(self, demo_battery, demo_anti_state,
                                           monkeypatch):
-        monkeypatch.setenv("ERGOKIT_MAX_COMPOSITIONS", str(composition_count(4, 3)))
+        monkeypatch.setattr(ensemble, "TABLE_BYTE_BUDGET",
+                            composition_count(4, 3) * ensemble.TABLE_BYTES_PER_ROW)
         with pytest.raises(CapExceededError) as exc:
             complete_passivity_check(demo_anti_state, demo_battery, 10)
         assert exc.value.largest_feasible_n == 4
@@ -802,15 +828,6 @@ class TestCompositionCache:
               BatterySpec(np.array([0.0, 0.579, 1.0])), 200)
         assert set(cache.entries) == {3}
         assert cache.misses == 1
-
-
-class TestEnvironmentCap:
-    def test_env_override(self, demo_battery, monkeypatch):
-        monkeypatch.setenv("ERGOKIT_MAX_COMPOSITIONS", "5")
-        with pytest.raises(CapExceededError):
-            build_level_table(DEMO_SPECTRUM, demo_battery, 10)
-        monkeypatch.setenv("ERGOKIT_MAX_COMPOSITIONS", "1000")
-        build_level_table(DEMO_SPECTRUM, demo_battery, 10)
 
 
 class TestNestedTables:
