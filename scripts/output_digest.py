@@ -27,9 +27,12 @@ orders a curve hands from n to n - 1 fail their check and it sorts
 afresh) and on the unit-trace qutrit demo to n = 200; and the
 ergotropy, curve, simulate and oracle subcommands on the demo files,
 their exit codes, stdout, stderr and CSV. One simulate run has a
-segment whose phase overflows the float range, and two runs are
-refused: oracle past the brute-force cap, and curve past the table byte
-budget, lowered to 10 rows for that run.
+segment whose phase overflows the float range, and four runs are
+refused: simulate with a segment too long for the propagator
+(duration 1e10), oracle past the brute-force cap, and curve past the
+table byte budget, lowered to 10 rows for that run. One more evolve
+runs on a seeded d = 9 battery whose energies are offset by 1e3, which
+the propagator's trace shift takes out.
 
 Two records, printed as they are rather than hashed, name what the bits
 depend on besides the code: machine.numpy_dispatch, the highest SIMD
@@ -149,6 +152,15 @@ def library_records(ek, name, battery, state, rng):
     emit(f"{name}.evolve.final_spectrum", res.final_state.spectrum_descending)
 
 
+def offset_records(ek, rng):
+    battery, state = random_problem(ek, rng, 7)
+    offset = ek.BatterySpec(battery.energies + 1e3)
+    res = ek.evolve(state, offset, random_schedule(ek, rng, battery.dim))
+    emit("offset.d9.evolve.work", res.work)
+    emit("offset.d9.evolve.unitary", res.total_unitary)
+    emit("offset.d9.evolve.final", res.final_state.matrix)
+
+
 def table_records(ek, rng):
     problems = {}
     for d, n in TABLE_SIZES:
@@ -205,9 +217,11 @@ def run_cli(cli, name, argv, csv_path=None):
 def cli_records(cli, tmp: Path):
     qubit, qutrit, swap = (str(REPO_ROOT / "demo" / f"{name}.json") for name
                            in ("qubit", "qutrit", "qubit_swap_schedule"))
-    overflow = tmp / "overflow.json"
+    overflow, long = tmp / "overflow.json", tmp / "long.json"
     overflow.write_text(json.dumps([{"duration": 1e308, "control": {
         "re": [[0.0, 0.0], [0.0, 5.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}}]))
+    long.write_text(json.dumps([{"duration": 1e10, "control": {
+        "re": [[0.0, 1.0], [1.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}}]))
     for demo, path in (("qubit", qubit), ("qutrit", qutrit)):
         run_cli(cli, f"cli.{demo}.ergotropy", ["ergotropy", path])
         run_cli(cli, f"cli.{demo}.ergotropy_json", ["ergotropy", path, "--json"])
@@ -217,6 +231,7 @@ def cli_records(cli, tmp: Path):
         run_cli(cli, f"cli.{demo}.oracle", ["oracle", path, "--n", "5"])
     run_cli(cli, "cli.qubit.simulate", ["simulate", qubit, swap])
     run_cli(cli, "cli.qubit.simulate_overflow", ["simulate", qubit, str(overflow)])
+    run_cli(cli, "cli.qubit.simulate_long", ["simulate", qubit, str(long)])
     # 3^15 levels exceed the brute-force cap
     run_cli(cli, "cli.qutrit.oracle_over_cap", ["oracle", qutrit, "--n", "15"])
     ensemble = sys.modules["ergokit.ensemble"]
@@ -251,6 +266,7 @@ def main():
     for k in range(STATES):
         battery, state = random_problem(ek, rng, k)
         library_records(ek, f"state[{k:03d}].d{battery.dim}", battery, state, rng)
+    offset_records(ek, np.random.default_rng(SEED))
     table_records(ek, np.random.default_rng(SEED))
     curve_records(ek, np.random.default_rng(SEED))
     with tempfile.TemporaryDirectory() as tmp:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -312,6 +313,26 @@ class TestSimulateCommand:
         assert f"segment 1: {message}" in err
         assert "Hermitian" not in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("duration", [1e10, 1e307], ids=["1e10", "1e307"])
+    def test_segment_past_the_squaring_limit_exits_2(self, qubit_file, tmp_path,
+                                                    capsys, duration):
+        # duration ||H + V - mu I||_1 = 1.5 duration is past the ~1e8 limit
+        # of linalg.expm_hermitian_generator; 1e307 takes 1,022 squarings
+        sched = write_json(tmp_path / "long.json", [{
+            "duration": duration,
+            "control": {"re": [[0.0, 1.0], [1.0, 0.0]],
+                        "im": [[0.0, 0.0], [0.0, 0.0]]},
+        }])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            start = time.perf_counter()
+            assert cli.main(["simulate", qubit_file, sched]) == 2
+            assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert "unitarity defect" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_dimension_mismatch_exits_2(self, qubit_file, tmp_path, capsys):
         # a validation error like any other, not a numerical failure

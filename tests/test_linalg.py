@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -269,3 +270,52 @@ class TestExpm:
             A = A / (np.max(np.abs(A)) * abs(t)) * 90
         U = linalg.expm_hermitian_generator(A, t)
         assert np.max(np.abs(U.conj().T @ U - np.eye(d))) <= 1e-9
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3], ids=["energies", "offset1e3"])
+    @pytest.mark.parametrize("t_norm", [1e-3, 1.0, 30.0, 1e4])
+    @pytest.mark.parametrize("d", [2, 3, 8, 16, 32])
+    def test_matches_eigh_propagator(self, d, t_norm, offset):
+        # H + V with t chosen so that t ||H + V||_1 = t_norm, against a
+        # LAPACK eigh propagator (a test oracle only). Measured over these
+        # cases: at most 13 eps max(1, t ||A||_1), offset or not (the
+        # trace shift leaves A - mu I the same size); the bound is about
+        # 4x that.
+        rng = np.random.default_rng(d)
+        eps = np.finfo(float).eps
+        for _ in range(10):
+            energies = offset + np.cumsum(rng.uniform(0.05, 1.0, d))
+            A = np.diag(energies) + random_hermitian(rng, d, 1 / np.sqrt(d))
+            t = t_norm / np.max(np.sum(np.abs(A), axis=0))
+            w, Q = np.linalg.eigh(A)
+            oracle = (Q * np.exp(-1j * t * w)) @ Q.conj().T
+            U = linalg.expm_hermitian_generator(A, t)
+            assert np.max(np.abs(U - oracle)) <= 50 * eps * max(1.0, t_norm)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_zero_generator_is_exactly_the_identity(self, d):
+        U = linalg.expm_hermitian_generator(np.zeros((d, d)), t=17.3)
+        assert np.array_equal(U, np.eye(d))
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NotHermitianError):
+            linalg.expm_hermitian_generator([[0.0, 1.0], [0.0, 0.0]], t=1.0)
+
+    def test_makes_no_eigendecomposition(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(linalg, "eig_hermitian",
+                            lambda M: calls.append(M) or pytest.fail("eig call"))
+        rng = np.random.default_rng(3)
+        for d in (1, 2, 8, 32):
+            linalg.expm_hermitian_generator(random_hermitian(rng, d), t=0.7)
+        assert calls == []
+
+    def test_huge_finite_t_is_non_finite_without_warning(self):
+        # t ||A - mu I||_1 = 2.5e307 takes 1,022 squarings, which blow the
+        # roundoff up to inf or nan; evolve then rejects the product
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            start = time.perf_counter()
+            U = linalg.expm_hermitian_generator(np.diag([0.0, 5.0]), t=1e307)
+            elapsed = time.perf_counter() - start
+        assert not linalg.unitarity_defect(U) <= 1e-8
+        assert elapsed < 0.5

@@ -117,6 +117,44 @@ class TestEvolve:
                             bat.energies))
         assert abs(res.work - work) <= 1e-10
 
+    @pytest.mark.parametrize("d", [2, 8, 32])
+    def test_segment_past_the_squaring_limit_is_not_unitary(self, d):
+        # the propagator's unitarity defect grows with dt ||H + V - mu I||_1
+        # and passes UNITARY_TOL near 1e8: accepted at 1e6, rejected at 1e10
+        rng = np.random.default_rng(90 + d)
+        bat = random_battery(rng, d)
+        state = random_density_matrix(rng, d)
+        G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        A = np.diag(bat.energies) + (G + G.conj().T) / (2 * np.sqrt(d))
+        V = A - np.diag(bat.energies)
+        norm = np.max(np.sum(np.abs(A - np.trace(A).real / d * np.eye(d)), axis=0))
+        res = evolve(state, bat, ControlSchedule.from_pairs([(1e6 / norm, V)]))
+        assert res.unitarity_defect <= 1e-9
+        with pytest.raises(NotUnitaryError, match="unitarity defect"):
+            evolve(state, bat, ControlSchedule.from_pairs([(1e10 / norm, V)]))
+
+    def test_energies_offset_by_1e3(self):
+        # the trace shift: an offset of the energies changes the propagator
+        # by a global phase only, so the work and final state stay
+        rng = np.random.default_rng(72)
+        d = 8
+        bat = random_battery(rng, d)
+        state = random_density_matrix(rng, d)
+        G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        sched = ControlSchedule.from_pairs([(0.9, (G + G.conj().T) / (2 * np.sqrt(d)))])
+        res = evolve(state, bat, sched)
+        shifted = evolve(state, BatterySpec(bat.energies + 1e3), sched)
+        assert abs(shifted.work - res.work) <= 1e-10
+        np.testing.assert_allclose(shifted.final_state.matrix,
+                                   res.final_state.matrix, atol=1e-11)
+
+    def test_makes_no_eigendecomposition(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(linalg, "eig_hermitian",
+                            lambda M: calls.append(M) or pytest.fail("eig call"))
+        evolve(QUBIT_STATE, QUBIT, swap_schedule(QUBIT))
+        assert calls == []
+
     def test_dimension_mismatch(self):
         sched = ControlSchedule.from_pairs([(1.0, np.zeros((3, 3)))])
         with pytest.raises(DimensionMismatchError):
