@@ -155,9 +155,11 @@ def expm_hermitian_generator(A, t: float) -> np.ndarray:
     to ||B||_1 <= 1, and its degree-TAYLOR_DEGREE Taylor polynomial is
     squared s times and scaled by exp(-i t mu). The unitarity defect passes
     protocol.UNITARY_TOL near t ||A - mu I||_1 = 1e8, so evolve rejects
-    longer segments; a huge finite t gives a non-finite U, without a
-    warning. Raises NotHermitianError if A fails is_hermitian, and
-    ValidationError if t * ||A - mu I||_1 or t * mu is not finite."""
+    longer segments; a huge finite t overflows without a warning, to a
+    non-finite U.
+
+    Raises NotHermitianError if A fails is_hermitian, and ValidationError
+    if t * ||A - mu I||_1 or t * mu is not finite."""
     A = as_square_matrix(A)
     if not is_hermitian(A):
         raise NotHermitianError(
@@ -171,8 +173,8 @@ def expm_hermitian_generator(A, t: float) -> np.ndarray:
         raise ValidationError(f"t={t!r} times an eigenvalue overflows")
     s = max(0, int(np.frexp(norm)[1]))
     B = A * (-1j * np.ldexp(t, -s))
-    U = I
-    for k in range(TAYLOR_DEGREE, 0, -1):
+    U = I + B / TAYLOR_DEGREE
+    for k in range(TAYLOR_DEGREE - 1, 0, -1):
         U = I + B @ U / k
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(s):

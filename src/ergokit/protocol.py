@@ -105,9 +105,7 @@ def evolve(state: QuantumState, battery, schedule: ControlSchedule) -> ProtocolR
             raise DimensionMismatchError(
                 f"segment {i}: control dimension {V.shape[0]} != battery dimension {d}")
         try:
-            # a segment past the squaring limit is rejected by _finish
-            with np.errstate(over="ignore", invalid="ignore"):
-                U = linalg.expm_hermitian_generator(H + V, dt) @ U
+            U = linalg.expm_hermitian_generator(H + V, dt) @ U
         except ValidationError as exc:
             raise ValidationError(f"segment {i}: {exc}") from None
     return _finish(state, energies, U)

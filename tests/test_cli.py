@@ -318,7 +318,7 @@ class TestSimulateCommand:
     def test_segment_past_the_squaring_limit_exits_2(self, qubit_file, tmp_path,
                                                     capsys, duration):
         # duration ||H + V - mu I||_1 = 1.5 duration is past the ~1e8 limit
-        # of linalg.expm_hermitian_generator; 1e307 takes 1,022 squarings
+        # of linalg.expm_hermitian_generator; 1e307 takes 1,021 squarings
         sched = write_json(tmp_path / "long.json", [{
             "duration": duration,
             "control": {"re": [[0.0, 1.0], [1.0, 0.0]],

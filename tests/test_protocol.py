@@ -135,7 +135,9 @@ class TestEvolve:
 
     def test_energies_offset_by_1e3(self):
         # the trace shift: an offset of the energies changes the propagator
-        # by a global phase only, so the work and final state stay
+        # by a global phase only, so the work and final state stay. Over
+        # seeds 72-91 |dwork| read at most 7.1e-13, and 1.4e-10 with the
+        # shift taken out of expm_hermitian_generator
         rng = np.random.default_rng(72)
         d = 8
         bat = random_battery(rng, d)
@@ -144,16 +146,14 @@ class TestEvolve:
         sched = ControlSchedule.from_pairs([(0.9, (G + G.conj().T) / (2 * np.sqrt(d)))])
         res = evolve(state, bat, sched)
         shifted = evolve(state, BatterySpec(bat.energies + 1e3), sched)
-        assert abs(shifted.work - res.work) <= 1e-10
+        assert abs(shifted.work - res.work) <= 5e-12
         np.testing.assert_allclose(shifted.final_state.matrix,
-                                   res.final_state.matrix, atol=1e-11)
+                                   res.final_state.matrix, atol=1e-12)
 
     def test_makes_no_eigendecomposition(self, monkeypatch):
-        calls = []
         monkeypatch.setattr(linalg, "eig_hermitian",
-                            lambda M: calls.append(M) or pytest.fail("eig call"))
+                            lambda M: pytest.fail("eig_hermitian was called"))
         evolve(QUBIT_STATE, QUBIT, swap_schedule(QUBIT))
-        assert calls == []
 
     def test_dimension_mismatch(self):
         sched = ControlSchedule.from_pairs([(1.0, np.zeros((3, 3)))])
