@@ -155,8 +155,8 @@ def expm_hermitian_generator(A, t: float) -> np.ndarray:
     to ||B||_1 <= 1, and its degree-TAYLOR_DEGREE Taylor polynomial is
     squared s times and scaled by exp(-i t mu). The unitarity defect passes
     protocol.UNITARY_TOL near t ||A - mu I||_1 = 1e8, so evolve rejects
-    longer segments; a huge finite t overflows without a warning, to a
-    non-finite U.
+    longer segments; a huge finite t gives, without a warning, a U that is
+    far from unitary or not finite.
 
     Raises NotHermitianError if A fails is_hermitian, and ValidationError
     if t * ||A - mu I||_1 or t * mu is not finite."""
