@@ -19,7 +19,10 @@ change of the medians and the number of pairs the change won (it is
 better in that pair, in the metric's direction from BENCHMARK.json),
 plus the operation and failure counts, the seeds, the order of each pair,
 each run's pass count (peak_rss_mb grows with it, so a memory change is
-read against it) and the machine line perfbench prints. --trace-seed
+read against it), the least-squares slope of peak_rss_mb against the
+pass count over all runs of both sides (rss_mb_per_pass, in MB per pass;
+null when every run made the same number of passes) and the machine line
+perfbench prints. --trace-seed
 adds one traced run per side and workload with the per-layer metrics.
 
 Each metric also gets a verdict against its BENCHMARK.json bound (a
@@ -85,6 +88,18 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float,
     result = json.loads(lines[-1])
     result["passes"] = pass_count(proc.stdout)
     return result, machine
+
+
+def rss_mb_per_pass(runs: list[dict]) -> float | None:
+    """Least-squares slope of peak_rss_mb against the pass count over
+    every run of both sides, in MB per pass; None when all runs made the
+    same number of passes."""
+    sides = [r[side] for r in runs for side in ("parent", "change")]
+    passes = [s["passes"] for s in sides]
+    if len(set(passes)) < 2:
+        return None
+    rss = [s["metrics"]["peak_rss_mb"]["value"] for s in sides]
+    return statistics.linear_regression(passes, rss).slope
 
 
 def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
@@ -172,6 +187,7 @@ def main(argv=None) -> int:
                 "failed": {s: sum(r[s]["failed"] for r in runs)
                            for s in trees},
                 "passes": {s: [r[s]["passes"] for r in runs] for s in trees},
+                "rss_mb_per_pass": rss_mb_per_pass(runs),
                 "metrics": summarise(runs, spec["end_to_end"]),
             }
             if args.trace_seed is not None:

@@ -32,7 +32,9 @@ refused: simulate with a segment too long for the propagator
 (duration 1e10), oracle past the brute-force cap, and curve past the
 table byte budget, lowered to 10 rows for that run. One more evolve
 runs on a seeded d = 9 battery whose energies are offset by 1e3, which
-the propagator's trace shift takes out.
+the propagator's trace shift takes out. Three seeded Hermitian matrices,
+at d = 8, 16 and 32, record the Jacobi sweep count eig_hermitian takes
+on them.
 
 Two records, printed as they are rather than hashed, name what the bits
 depend on besides the code: machine.numpy_dispatch, the highest SIMD
@@ -161,6 +163,13 @@ def offset_records(ek, rng):
     emit("offset.d9.evolve.final", res.final_state.matrix)
 
 
+def sweep_records(ek, rng):
+    from ergokit import linalg
+    for d in (8, 16, 32):
+        G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        emit(f"jacobi.d{d}.sweeps", linalg.eig_hermitian(G + G.conj().T).sweeps)
+
+
 def table_records(ek, rng):
     problems = {}
     for d, n in TABLE_SIZES:
@@ -267,6 +276,7 @@ def main():
         battery, state = random_problem(ek, rng, k)
         library_records(ek, f"state[{k:03d}].d{battery.dim}", battery, state, rng)
     offset_records(ek, np.random.default_rng(SEED))
+    sweep_records(ek, np.random.default_rng(SEED))
     table_records(ek, np.random.default_rng(SEED))
     curve_records(ek, np.random.default_rng(SEED))
     with tempfile.TemporaryDirectory() as tmp:

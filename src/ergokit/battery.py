@@ -91,7 +91,7 @@ class QuantumState:
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(
                 f"density matrix trace must be 1 within {TRACE_TOL}; got {tr!r}")
-        w = linalg.eig_hermitian(m).eigenvalues
+        w = linalg.eig_hermitian(m, vectors=False).eigenvalues
         if float(np.min(w)) < EIGENVALUE_FLOOR:
             raise ValidationError(
                 f"eigenvalue {np.min(w):.3e} below the roundoff floor "
@@ -115,7 +115,7 @@ class QuantumState:
     def spectrum_descending(self) -> np.ndarray:
         """Eigenvalues sorted descending, with roundoff negatives clamped
         to zero and the spectrum rescaled to preserve the given trace."""
-        w = linalg.eig_hermitian(self.matrix).eigenvalues
+        w = linalg.eig_hermitian(self.matrix, vectors=False).eigenvalues
         if float(np.min(w)) < EIGENVALUE_FLOOR:
             raise ValidationError(
                 f"eigenvalue {np.min(w):.3e} below the roundoff floor {EIGENVALUE_FLOOR}")

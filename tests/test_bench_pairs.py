@@ -67,3 +67,18 @@ def test_pass_count_reads_the_summary_line():
     assert bench_pairs.pass_count(stdout) == 17
     with pytest.raises(RuntimeError, match="no pass count"):
         bench_pairs.pass_count('{"correct": true}\n')
+
+
+def test_rss_slope_against_the_pass_count():
+    def side(passes, rss):
+        return {"passes": passes, "metrics": {"peak_rss_mb": {"value": rss}}}
+    # peak_rss_mb = 40 + 0.5 * passes on both sides
+    runs = [{"parent": side(p, 40 + 0.5 * p), "change": side(c, 40 + 0.5 * c)}
+            for p, c in ((18, 22), (20, 24), (19, 23))]
+    assert bench_pairs.rss_mb_per_pass(runs) == pytest.approx(0.5)
+    # more passes on flat memory: slope 0
+    runs = [{"parent": side(p, 40.0), "change": side(c, 40.0)}
+            for p, c in ((18, 22), (20, 24), (19, 23))]
+    assert bench_pairs.rss_mb_per_pass(runs) == 0.0
+    same = [{"parent": side(20, 40.0), "change": side(20, 41.0)}] * 3
+    assert bench_pairs.rss_mb_per_pass(same) is None

@@ -294,7 +294,8 @@ class TestSimulateCommand:
         ("1e309", "0.0", "duration must be finite"),
         ("1.0", "1e309", "control entries must be finite"),
         ("1.0", "NaN", "control entries must be finite"),
-        ("1e308", "5.0", "t=1e+308 times an eigenvalue overflows"),
+        ("1e308", "5.0",
+         "t=1e+308: t*||A - mu I||_1 or t*mu is not finite, mu = tr(A)/d"),
     ], ids=["text", "null", "list", "inf", "inf-control", "nan-control",
             "phase-overflow"])
     def test_malformed_segment_exits_2(self, qubit_file, tmp_path, capsys,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_unitary
+from conftest import random_density_matrix, random_unitary
 from ergokit import QuantumState, linalg
 from ergokit.errors import (DimensionMismatchError, NoConvergenceError,
                             NotHermitianError, ValidationError)
@@ -229,6 +229,49 @@ class TestRoundRobin:
             linalg.eig_hermitian(M)
 
 
+
+class TestInnerAngleAndVectorFree:
+    """The inner rotation angle and the vectors=False option."""
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16, 32, 33])
+    def test_vector_free_call_gives_the_same_bits(self, d):
+        rng = np.random.default_rng(300 + d)
+        for M in (random_hermitian(rng, d), random_density_matrix(rng, d).matrix):
+            full = linalg.eig_hermitian(M)
+            bare = linalg.eig_hermitian(M, vectors=False)
+            assert bare.eigenvectors is None
+            assert np.array_equal(bare.eigenvalues, full.eigenvalues)
+            assert (bare.sweeps, bare.residual) == (full.sweeps, full.residual)
+
+    def test_vector_free_diagonal_input_takes_zero_sweeps(self):
+        # the vectors=True call is TestRoundRobin's diagonal test
+        eig = linalg.eig_hermitian(np.diag([3.0, -1.0, 2.0, 0.5]), vectors=False)
+        assert (eig.sweeps, eig.residual) == (0, 0.0)
+        assert eig.eigenvalues.tolist() == [-1.0, 0.5, 2.0, 3.0]
+
+    @pytest.mark.parametrize("d, count, bound", [(8, 40, 5.7), (16, 20, 7.2),
+                                                 (32, 12, 8.7)])
+    def test_mean_sweeps_on_density_matrices(self, d, count, bound):
+        # each bound lies between the mean measured with these seeds (5.35 /
+        # 6.85 / 7.92 at d = 8 / 16 / 32) and the outer angle's (6.05 /
+        # 7.85 / 9.58)
+        rng = np.random.default_rng(800 + d)
+        sweeps = [linalg.eig_hermitian(random_density_matrix(rng, d).matrix).sweeps
+                  for _ in range(count)]
+        assert np.mean(sweeps) < bound
+
+    def test_nearly_diagonal_input_keeps_its_basis(self):
+        # small rotations only: no pair swaps its diagonal entries, so each
+        # eigenvector stays near its own basis vector, with a positive
+        # component there
+        rng = np.random.default_rng(318)
+        levels = rng.permutation(np.arange(8.0))
+        M = np.diag(levels) + random_hermitian(rng, 8, 1e-3)
+        eig = linalg.eig_hermitian(M)
+        Q = eig.eigenvectors[np.argsort(levels, kind="stable")]
+        assert np.max(np.abs(Q - np.eye(8))) <= 1e-2
+
+
 class TestDefects:
     def test_max_offdiagonal(self):
         assert linalg.max_offdiagonal(np.array([[1.0, -3j], [2.0, 5.0]])) == 3.0
@@ -258,7 +301,7 @@ class TestExpm:
     def test_phase_overflow_rejected_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValidationError, match="overflows"):
+            with pytest.raises(ValidationError, match=r"or t\*mu is not finite"):
                 linalg.expm_hermitian_generator(np.diag([0.0, 5.0]), t=1e308)
 
     @given(seed=st.integers(0, 10_000), t=st.floats(-10.0, 10.0))
