@@ -164,10 +164,9 @@ def offset_records(ek, rng):
 
 
 def sweep_records(ek, rng):
-    from ergokit import linalg
     for d in (8, 16, 32):
         G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        emit(f"jacobi.d{d}.sweeps", linalg.eig_hermitian(G + G.conj().T).sweeps)
+        emit(f"jacobi.d{d}.sweeps", ek.linalg.eig_hermitian(G + G.conj().T).sweeps)
 
 
 def table_records(ek, rng):

@@ -196,7 +196,6 @@ class TestOptimalUnitary:
             offdiag = rho_p - np.diag(np.diag(rho_p))
             assert np.max(np.abs(offdiag)) <= 1e-9
 
-
     def test_only_the_unitary_asks_for_eigenvectors(self, monkeypatch):
         rng = np.random.default_rng(12)
         matrix = random_density_matrix(rng, 4).matrix
