@@ -23,7 +23,10 @@ read against it), the least-squares slope of peak_rss_mb against the
 pass count over all runs of both sides (rss_mb_per_pass, in MB per pass;
 null when every run made the same number of passes) and the machine line
 perfbench prints. --trace-seed
-adds one traced run per side and workload with the per-layer metrics.
+adds TRACED_RUNS traced runs per side and workload, after the pairs, on
+that seed, in the side order parent, change, change, parent, ...: each
+per-layer metric is reported per run and as its median per side, so a
+minute of drift moves one run, not the reading.
 
 Each metric also gets a verdict against its BENCHMARK.json bound (a
 fraction of the parent's median): worse_beyond_bound when the change's
@@ -48,6 +51,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 # the fewest pairs in which a claimed gain can win 9 of 10
 PAIRS = 10
+# traced runs per side with --trace-seed; the per-layer reading is their
+# median
+TRACED_RUNS = 3
 
 
 def checkout(rev_or_dir: str, tmp: Path, name: str) -> Path:
@@ -100,6 +106,27 @@ def rss_mb_per_pass(runs: list[dict]) -> float | None:
         return None
     rss = [s["metrics"]["peak_rss_mb"]["value"] for s in sides]
     return statistics.linear_regression(passes, rss).slope
+
+
+def traced(trees: dict, workload: str, seed: int, seconds: float) -> dict:
+    """TRACED_RUNS traced runs per side on one seed, the side order
+    alternating, as parent, change, change, parent, ...: the order, each
+    run's per-layer metrics and, per side, each metric's median (None
+    where no run has a value)."""
+    out = {"seed": seed, "order": [], "runs": {side: [] for side in trees}}
+    for k in range(TRACED_RUNS):
+        for side in (("parent", "change") if k % 2 == 0
+                     else ("change", "parent")):
+            result, _ = run_bench(trees[side], workload, seed, seconds, 1)
+            out["order"].append(side)
+            out["runs"][side].append(
+                {name: v["value"] for name, v in result["metrics"].items()})
+    for side, runs in out["runs"].items():
+        out[side] = {}
+        for name in runs[0]:
+            values = [r[name] for r in runs if r.get(name) is not None]
+            out[side][name] = statistics.median(values) if values else None
+    return out
 
 
 def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
@@ -191,12 +218,8 @@ def main(argv=None) -> int:
                 "metrics": summarise(runs, spec["end_to_end"]),
             }
             if args.trace_seed is not None:
-                entry["traced"] = {"seed": args.trace_seed}
-                for side in trees:
-                    result, _ = run_bench(trees[side], workload,
-                                          args.trace_seed, seconds, 1)
-                    entry["traced"][side] = {
-                        k: v["value"] for k, v in result["metrics"].items()}
+                entry["traced"] = traced(trees, workload, args.trace_seed,
+                                         seconds)
             report["workloads"][workload] = entry
 
     report["finished"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())

@@ -20,11 +20,14 @@ e(n)) of seeded problems at fixed (d, n) up to 525,825 rows, of the
 larger composition entry; its records must equal table.d3.n40.*), of a
 tied integer ladder at n = 200 and of a zero eigenvalue at n = 90; every e(n)
 of curve() on a seeded d = 6 problem to n = 12, on that zero eigenvalue
-to n = 90, on that tied ladder to n = 100 (tables past one ladder block,
-built in the workspace a curve reuses), on the geometric spectrum
+to n = 90, on that tied ladder to n = 100 (tables of 2,048-8,192 rows,
+whose count ladders are one linear block each, built in the workspace a
+curve reuses), on the geometric spectrum
 (4, 2, 1)/7 with ground energy 0.3 to n = 40 (near ties, so the sort
 orders a curve hands from n to n - 1 fail their check and it sorts
-afresh) and on the unit-trace qutrit demo to n = 200; and the
+afresh) and on the unit-trace qutrit demo to n = 200 (whose tables
+from n = 127 on, past 8,192 rows, are summed in blocks with joins, as is
+the tied ladder's table at n = 200); and the
 ergotropy, curve, simulate and oracle subcommands on the demo files,
 their exit codes, stdout, stderr and CSV. One simulate run has a
 segment whose phase overflows the float range, and four runs are
@@ -178,8 +181,9 @@ def table_records(ek, rng):
         table_record(ek, f"table.d{d}.n{n}", table)
     table = ek.build_level_table(*problems[3, 40], 40)
     table_record(ek, "table.d3.n40_after_n1024", table)
-    # fixed spectra whose ladders run past one LADDER_BLOCK (2,048 rows):
-    # a tied integer ladder and a zero eigenvalue
+    # fixed spectra: a tied integer ladder, whose 20,301 rows are summed
+    # in blocks with joins (past LADDER_ONE_BLOCK, 8,192 rows), and a zero
+    # eigenvalue, one linear block of 4,186 rows
     for name, spectrum, energies, n in (
             ("tied.d3.n200", [0.25, 0.5, 0.25], np.arange(3.0), 200),
             ("zero.d3.n90", [0.7, 0.3, 0.0], np.array([0.0, 0.3, 1.0]), 90)):
@@ -188,8 +192,10 @@ def table_records(ek, rng):
 
 
 def curve_records(ek, rng):
-    """Every e(n) of five curves whose largest tables run past one
-    LADDER_BLOCK (2,048 rows), but for the geometric one (861 rows)."""
+    """Every e(n) of five curves. The largest tables of the d = 6, zero
+    and tied curves (6,188, 4,186 and 5,151 rows) are one linear ladder
+    block each; the unit-trace demo's cross block joins from n = 127
+    (8,256 rows); the geometric one stays under 861 rows."""
     d6_energies = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, 5))])
     demo = np.array([0.538, 0.237, 0.224])
     for name, populations, energies, n_max in (

@@ -6,7 +6,10 @@ the count of each level. One table row per composition, carrying a
 log-probability, a total energy and a log-multinomial multiplicity,
 replaces the d^n levels with C(n+d-1, d-1) rows. Probabilities and
 multiplicities stay in the log domain, and so do the merge's count
-ladders (_log_ladder).
+ladders (_log_ladder), in three regimes by length: under LADDER_LOG_ROWS
+(256) rows accumulated in logs, up to LADDER_ONE_BLOCK (8,192) rows one
+linear block, longer or wider ladders linear blocks of LADDER_BLOCK rows
+joined in logs.
 
 Compositions are cached one entry per d (_CompositionCache). They are
 lexicographic with k_1 varying slowest, which gives the nesting rule:
@@ -51,7 +54,14 @@ BRUTE_FORCE_CAP = 10_000_000
 DIAGONAL_TOL = 1e-10
 # complete_passivity_check: per-copy work above this times n is active
 ACTIVE_WORK_TOL = 1e-9
-# _log_ladder sums ladders of this many rows or more in blocks this long
+# _log_ladder's three regimes, by rows: under LADDER_LOG_ROWS one
+# np.logaddexp.accumulate, which is cheaper than a linear block below
+# about 250 rows (the measured crossover); up to LADDER_ONE_BLOCK one
+# linear block, whose rounding up to there stays within 1.6x of the
+# blocks' (it is 10x theirs at 118,755 rows); longer ladders, and wider
+# ones under LADDER_LINEAR_SPAN's test, in blocks of LADDER_BLOCK rows
+LADDER_LOG_ROWS = 256
+LADDER_ONE_BLOCK = 8192
 LADDER_BLOCK = 2048
 # a linear block spans at most this in ln count, so each exp(x - block
 # max) >= e^-690 stays a normal float (those end near e^-708)
@@ -334,23 +344,73 @@ def _log_ladder(log_counts: np.ndarray, out: np.ndarray | None = None) -> np.nda
     """ln of the cumulative counts, with ln 0 = -inf prepended; written
     into out (log_counts.size + 1 entries) if given.
 
-    Fewer than LADDER_BLOCK counts are accumulated by np.logaddexp.accumulate.
-    Longer ladders are summed linearly in blocks of LADDER_BLOCK rows, S =
-    cumsum(exp(x - top)) with top the block's largest entry; with c the
-    carry, ln of the counts before the block, from np.logaddexp.accumulate
-    over the block totals, a block's ladder is s + ln(S e^(top - s) +
-    e^(c - s)), s = max(top, c). A block whose finite entries span more
-    than LADDER_LINEAR_SPAN could start below the normal float range, so
-    it is accumulated in logs from c. A -inf entry adds an exact zero, and
-    the leading run of -inf, where the count is still 0, stays -inf. No
-    row-sized array is made besides the ladder.
+    Three regimes, by the ladder's rows:
+    - fewer than LADDER_LOG_ROWS: np.logaddexp.accumulate, one call that
+      is cheaper than a linear block below about 250 rows;
+    - up to LADDER_ONE_BLOCK, when the finite entries span at most
+      LADDER_LINEAR_SPAN: one linear block, top + ln(cumsum(exp(x - top)))
+      with top the largest entry. Its rounding grows with the rows: it
+      is 3-13x below accumulate's at 455-2,002 rows and within 1.6x of
+      the blocks' at 3,003-8,128, but 10x theirs at 118,755 rows;
+    - every other ladder: np.logaddexp.accumulate under LADDER_BLOCK
+      rows, else _blocked_ladder, linear blocks of LADDER_BLOCK rows
+      joined in logs.
+    A -inf entry adds an exact zero, and the leading run of -inf, where
+    the count is still 0, stays -inf. No row-sized array is made besides
+    the ladder.
     """
     ladder = np.empty(log_counts.size + 1) if out is None else out
     ladder[0] = -np.inf
-    if log_counts.size < LADDER_BLOCK:
-        np.logaddexp.accumulate(log_counts, out=ladder[1:])
+    acc, rows = ladder[1:], log_counts.size
+    if (LADDER_LOG_ROWS <= rows <= LADDER_ONE_BLOCK
+            and _one_linear_block(log_counts, acc)):
         return ladder
-    parts = list(zip(_ladder_blocks(log_counts), _ladder_blocks(ladder[1:])))
+    if rows < LADDER_BLOCK:
+        np.logaddexp.accumulate(log_counts, out=acc)
+    else:
+        _blocked_ladder(log_counts, acc)
+    return ladder
+
+
+def _one_linear_block(x: np.ndarray, acc: np.ndarray) -> bool:
+    """Sum x into acc as one linear block and return True, or return False
+    with acc untouched when x's finite entries span more than
+    LADDER_LINEAR_SPAN. The ufuncs' own reductions and accumulate skip
+    the wrappers of x.max() and np.cumsum, which cost more than the rows
+    at a few hundred."""
+    top, low = np.maximum.reduce(x), np.minimum.reduce(x)
+    holed = low == -np.inf
+    if holed:
+        # the least finite entry; +inf when every entry is -inf, which
+        # sums to 0 whatever its shift
+        low = np.minimum.reduce(x, where=x > -np.inf, initial=np.inf)
+        top = 0.0 if top == -np.inf else top
+    if low < top - LADDER_LINEAR_SPAN:
+        return False
+    np.subtract(x, top, out=acc)
+    np.exp(acc, out=acc)
+    np.add.accumulate(acc, out=acc)
+    if holed:
+        # the leading -inf run sums to 0: ln 0 = -inf
+        with np.errstate(divide="ignore"):
+            np.log(acc, out=acc)
+    else:
+        np.log(acc, out=acc)
+    acc += top
+    return True
+
+
+def _blocked_ladder(log_counts: np.ndarray, ladder: np.ndarray) -> None:
+    """ln of the cumulative counts through each row, written into ladder
+    (log_counts.size entries), in linear blocks of LADDER_BLOCK rows.
+
+    A block's S = cumsum(exp(x - top)), top its largest entry; with c the
+    carry, ln of the counts before the block, from np.logaddexp.accumulate
+    over the block totals, its ladder is s + ln(S e^(top - s) + e^(c - s)),
+    s = max(top, c). A block whose finite entries span more than
+    LADDER_LINEAR_SPAN could start below the normal float range, so it is
+    accumulated in logs from c."""
+    parts = list(zip(_ladder_blocks(log_counts), _ladder_blocks(ladder)))
     shifts, linears, totals = [], [], []
     for x, acc in parts:
         top, linear = _linear_blocks(x)
@@ -389,13 +449,32 @@ def _log_ladder(log_counts: np.ndarray, out: np.ndarray | None = None) -> np.nda
     # a block's end and the carry after it round apart, so a block can
     # start a few ulps below the end of the one before; raise those
     # entries to keep the ladder nondecreasing
-    flat = ladder[1:]
-    starts = flat[LADDER_BLOCK::LADDER_BLOCK]
-    ends = np.maximum.accumulate(flat[LADDER_BLOCK - 1:-1:LADDER_BLOCK])
+    starts = ladder[LADDER_BLOCK::LADDER_BLOCK]
+    ends = np.maximum.accumulate(ladder[LADDER_BLOCK - 1:-1:LADDER_BLOCK])
     for b in (starts < ends).nonzero()[0]:
-        block = flat[(b + 1) * LADDER_BLOCK:(b + 2) * LADDER_BLOCK]
+        block = ladder[(b + 1) * LADDER_BLOCK:(b + 2) * LADDER_BLOCK]
         np.maximum(block, ends[b], out=block)
-    return ladder
+
+
+def _chunk_rows(P: np.ndarray, Q: np.ndarray, m: int):
+    """Per chunk of MERGE_CHUNK probability rows s..t-1: s, t and g_at,
+    the energy row each of P_s..P_t falls in. Energy row j holds the
+    counts (Q[j], Q[j + 1]], so g_at is the search of Q[1:] (row 0 for
+    P_0 = -inf), clamped so that an ulp of overshoot stays in the last row.
+
+    P ascends, so a chunk's rows lie between lo, the last row of the chunk
+    before, and hi, the row of P_t: each chunk searches Q[1 + lo:1 + hi]
+    alone. The last chunk's hi is the last row, found with no search."""
+    rows = Q.size - 1
+    lo = 0
+    for s in range(0, m, MERGE_CHUNK):
+        t = min(s + MERGE_CHUNK, m)
+        hi = rows if t == m else int(Q[1:].searchsorted(P[t]))
+        g_at = Q[1 + lo:1 + hi].searchsorted(P[s:t + 1])
+        if lo:
+            g_at += lo
+        yield s, t, np.minimum(g_at, rows - 1, out=g_at)
+        lo = hi
 
 
 def passive_energy_per_copy(table: WeightedLevelTable, *,
@@ -467,13 +546,9 @@ def passive_energy_per_copy(table: WeightedLevelTable, *,
     bound = 8.0 * slack * (abs(float(energy[0])) + abs(float(energy[-1])))
     # per chunk of rows s..t-1; p_width and mass stay whole for their sums
     inside, a_end = True, 0.0
-    for s in range(0, m, MERGE_CHUNK):
-        t = min(s + MERGE_CHUNK, m)
+    for s, t, g_at in _chunk_rows(P, Q, m):
         L, P_lo, P_hi = t - s, P[s:t], P[s + 1:t + 1]
-        # energy row j holds the counts (Q[j], Q[j + 1]]; P_i falls in row
-        # g_at[i] (row 0 for P_0 = -inf), clamped so an ulp of overshoot
-        # stays in the last row; interval i ends in row g[i]
-        g_at = np.minimum(Q[1:].searchsorted(P[s:t + 1]), rows - 1)
+        # interval i ends in energy row g[i]
         g = g_at[1:]
         q_below = Q.take(g, out=c[0][:L], mode="clip")
         mean = energy.take(g, out=c[1][:L], mode="clip")

@@ -82,3 +82,28 @@ def test_rss_slope_against_the_pass_count():
     assert bench_pairs.rss_mb_per_pass(runs) == 0.0
     same = [{"parent": side(20, 40.0), "change": side(20, 41.0)}] * 3
     assert bench_pairs.rss_mb_per_pass(same) is None
+
+
+def test_traced_runs_alternate_and_report_medians(monkeypatch):
+    calls = []
+
+    def fake_run_bench(tree, workload, seed, seconds, trace):
+        calls.append((tree, seed, trace))
+        k = sum(tree == c[0] for c in calls)
+        # the change's third run is an outlier; the medians ignore it
+        wall = {"parent": [3.0, 1.0, 2.0], "change": [1.0, 2.0, 30.0]}[tree][k - 1]
+        return {"metrics": {"layer.self_s": {"value": wall},
+                            "layer.calls_per_match": {"value": None}}}, {}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run_bench)
+    trees = {"parent": "parent", "change": "change"}
+    out = bench_pairs.traced(trees, "curve_batch", 51, 1.0)
+    assert bench_pairs.TRACED_RUNS == 3
+    assert out["order"] == ["parent", "change", "change", "parent",
+                            "parent", "change"]
+    assert [c[0] for c in calls] == out["order"]
+    assert all(c[1:] == (51, 1) for c in calls)
+    assert out["seed"] == 51
+    assert [r["layer.self_s"] for r in out["runs"]["change"]] == [1.0, 2.0, 30.0]
+    assert out["parent"] == {"layer.self_s": 2.0, "layer.calls_per_match": None}
+    assert out["change"] == {"layer.self_s": 2.0, "layer.calls_per_match": None}

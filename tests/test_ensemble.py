@@ -308,6 +308,27 @@ class TestPassiveEnergyPerCopy:
             bits.add(passive_energy_per_copy(t).hex())
         assert len(bits) == 1
 
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
+    def test_windowed_lookup_is_the_whole_search(self, monkeypatch, chunk):
+        # a zero eigenvalue, so P is shorter than Q, on tied integer
+        # energies; P then also takes Q's values twice over (ties), and
+        # one ulp past Q's end, which the clamp holds in the last row
+        t = build_level_table((0.5, 0.3, 0.2, 0.0), BatterySpec(np.arange(4.0)), 20)
+        m = int(np.count_nonzero(t.log_prob > -np.inf))
+        assert m < len(t)
+        P = ensemble._log_ladder(t.log_mult[np.argsort(-t.log_prob, kind="stable")][:m])
+        Q = ensemble._log_ladder(t.log_mult[np.argsort(t.energy, kind="stable")])
+        P = np.concatenate([[-np.inf], np.sort(np.concatenate(
+            [P[1:], Q[1::5], Q[1::5], [np.nextafter(Q[-1], np.inf)]]))])
+        want = np.minimum(Q[1:].searchsorted(P), len(t) - 1)
+        assert want[-1] == len(t) - 1 and Q[1:].searchsorted(P[-1]) == len(t)
+        monkeypatch.setattr(ensemble, "MERGE_CHUNK", chunk)
+        starts = []
+        for s, t_end, g_at in ensemble._chunk_rows(P, Q, P.size - 1):
+            starts.append(s)
+            assert np.array_equal(g_at, want[s:t_end + 1])
+        assert starts == list(range(0, P.size - 1, chunk))
+
 
 def _crossing_intervals(t):
     """The probability rows i (log_prob descending) whose count interval
@@ -333,13 +354,15 @@ class TestExactOracle:
         # negative ground energy
         (("0.25", "0.35", "0.3", "0.1"), ("-0.5", "0.1", "0.7", "1.3"), 40),
         (("0.2", "0.8"), ("0", "1"), 40),
-        # ladders of several linear blocks (LADDER_BLOCK rows each): the
+        # ladders of one linear block (up to LADDER_ONE_BLOCK rows): the
         # tied integer ladder (5,151 rows), a zero eigenvalue whose P
         # ladder (91 rows) is shorter than Q (4,186) and the skewed
         # spectrum (7,381)
         (("0.25", "0.5", "0.25"), ("0", "1", "2"), 100),
         (("0.7", "0.3", "0"), ("0", "0.3", "1"), 90),
         (("0.99", "0.006", "0.004"), ("0", "0.579", "1"), 120),
+        # past one block: LADDER_BLOCK-row blocks with joins (8,646 rows)
+        (("0.99", "0.006", "0.004"), ("0", "0.579", "1"), 130),
     ])
     def test_matches_exact_oracle(self, spectrum, energies, n):
         bat = BatterySpec(np.array([float(x) for x in energies]))
@@ -415,13 +438,20 @@ def _mpmath_ladder(log_counts):
     return np.array(out)
 
 
+def _one_block(x):
+    """x's ladder as one linear block, top + ln(cumsum(exp(x - top)))."""
+    top = x.max()
+    with np.errstate(divide="ignore"):
+        return top + np.log(np.cumsum(np.exp(x - top)))
+
+
 class TestLogLadder:
-    """The count ladder against mpmath, on both sides of one block and
-    across block joins."""
+    """The count ladder against mpmath in its three regimes: accumulated
+    in logs, one linear block, and blocks with joins."""
 
     @pytest.mark.parametrize("size, lead", [
         *(pytest.param(size, 3, id=str(size))
-          for size in (2047, 2048, 2049, 5 * 2048 + 3)),
+          for size in (255, 256, 2047, 2048, 2049, 8192, 8193, 5 * 2048 + 3)),
         # a leading -inf run through the whole first block and into the
         # second, then -inf inside the linear blocks after it
         pytest.param(3 * 2048 + 7, 2048 + 100, id="6151-lead2148")])
@@ -432,7 +462,7 @@ class TestLogLadder:
             ladder = ensemble._log_ladder(x)
         assert ladder.size == size + 1 and ladder[0] == -np.inf
         got, want = ladder[1:], _mpmath_ladder(x)
-        if size < ensemble.LADDER_BLOCK:
+        if size < ensemble.LADDER_LOG_ROWS:
             assert np.array_equal(got, np.logaddexp.accumulate(x))
         assert np.array_equal(got == -np.inf, want == -np.inf)
         finite = want > -np.inf
@@ -440,6 +470,43 @@ class TestLogLadder:
         bound = size * np.finfo(float).eps * (1.0 + np.abs(want[finite]).max())
         assert np.abs(got[finite] - want[finite]).max() <= bound
         assert (got[1:] >= got[:-1]).all()
+
+    @pytest.mark.parametrize("size, lead", [(256, 40), (3003, 84), (8192, 1000)])
+    def test_one_block_with_a_leading_run(self, size, lead):
+        # like F's ground rows: ln(count * 0) = -inf leads the ladder
+        x = _ladder_input(size, lead)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ensemble._log_ladder(x)[1:]
+        assert np.array_equal(got, _one_block(x))
+        want = _mpmath_ladder(x)
+        assert (got[:lead] == -np.inf).all() and (got[lead:] > -np.inf).all()
+        bound = size * np.finfo(float).eps * (1.0 + np.abs(want[lead:]).max())
+        assert np.abs(got[lead:] - want[lead:]).max() <= bound
+
+    @pytest.mark.parametrize("size", [300, 2047, 2048, 8192])
+    def test_wide_ladders_keep_their_kernel(self, size):
+        # finite counts spanning more than LADDER_LINEAR_SPAN: logaddexp
+        # under LADDER_BLOCK rows, the blocks from there on
+        x = _ladder_input(size)
+        x[size // 3] = x.max() - ensemble.LADDER_LINEAR_SPAN - 1.0
+        got = ensemble._log_ladder(x)[1:]
+        want = np.empty(size)
+        if size < ensemble.LADDER_BLOCK:
+            np.logaddexp.accumulate(x, out=want)
+        else:
+            ensemble._blocked_ladder(x, want)
+        assert np.array_equal(got, want)
+        assert not np.array_equal(got, _one_block(x))
+
+    def test_past_one_block_keeps_the_blocks(self):
+        # narrow counts that one block would take, one row too many
+        x = np.random.default_rng(7).uniform(-30.0, 30.0,
+                                             ensemble.LADDER_ONE_BLOCK + 1)
+        x[:3] = -np.inf
+        want = np.empty(x.size)
+        ensemble._blocked_ladder(x, want)
+        assert np.array_equal(ensemble._log_ladder(x)[1:], want)
 
     def test_linear_blocks_span_at_most_the_limit(self):
         x = _ladder_input(5 * 2048 + 3)
@@ -550,8 +617,8 @@ class TestCurve:
     @pytest.mark.parametrize("spectrum, energies, n_max", [
         # a zero eigenvalue: the P ladder is shorter than Q
         ((0.7, 0.3, 0.0), (0.0, 0.3, 1.0), 30),
-        # tied integer ladder (stable sorts); 2,556 rows at n = 70, past
-        # one LADDER_BLOCK
+        # tied integer ladder (stable sorts); 2,556 rows at n = 70, one
+        # linear ladder block
         ((0.25, 0.5, 0.25), (0.0, 1.0, 2.0), 70),
         # the unit-trace demo: three merge chunks at n = 181, a crossing
         # interval opening the second (test_chunks_move_no_bit)
