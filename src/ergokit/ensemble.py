@@ -6,10 +6,8 @@ the count of each level. One table row per composition, carrying a
 log-probability, a total energy and a log-multinomial multiplicity,
 replaces the d^n levels with C(n+d-1, d-1) rows. Probabilities and
 multiplicities stay in the log domain, and so do the merge's count
-ladders (_log_ladder), in three regimes by length: under LADDER_LOG_ROWS
-(256) rows accumulated in logs, up to LADDER_ONE_BLOCK (8,192) rows one
-linear block, longer or wider ladders linear blocks of LADDER_BLOCK rows
-joined in logs.
+ladders (_log_ladder): accumulated in logs under 256 rows, one linear
+block up to 8,192, and longer ones in linear blocks joined in logs.
 
 Compositions are cached one entry per d (_CompositionCache). They are
 lexicographic with k_1 varying slowest, which gives the nesting rule:
@@ -54,12 +52,11 @@ BRUTE_FORCE_CAP = 10_000_000
 DIAGONAL_TOL = 1e-10
 # complete_passivity_check: per-copy work above this times n is active
 ACTIVE_WORK_TOL = 1e-9
-# _log_ladder's three regimes, by rows: under LADDER_LOG_ROWS one
-# np.logaddexp.accumulate, which is cheaper than a linear block below
-# about 250 rows (the measured crossover); up to LADDER_ONE_BLOCK one
-# linear block, whose rounding up to there stays within 1.6x of the
-# blocks' (it is 10x theirs at 118,755 rows); longer ladders, and wider
-# ones under LADDER_LINEAR_SPAN's test, in blocks of LADDER_BLOCK rows
+# _log_ladder's regimes, by rows: under LADDER_LOG_ROWS one logaddexp
+# accumulate, cheaper than a linear block below about 250 rows (the
+# measured crossover); up to LADDER_ONE_BLOCK one linear block, whose
+# rounding there stays within 1.6x of the blocks' (it is 10x theirs at
+# 118,755 rows); longer ladders in blocks of LADDER_BLOCK rows
 LADDER_LOG_ROWS = 256
 LADDER_ONE_BLOCK = 8192
 LADDER_BLOCK = 2048
@@ -344,20 +341,16 @@ def _log_ladder(log_counts: np.ndarray, out: np.ndarray | None = None) -> np.nda
     """ln of the cumulative counts, with ln 0 = -inf prepended; written
     into out (log_counts.size + 1 entries) if given.
 
-    Three regimes, by the ladder's rows:
-    - fewer than LADDER_LOG_ROWS: np.logaddexp.accumulate, one call that
-      is cheaper than a linear block below about 250 rows;
-    - up to LADDER_ONE_BLOCK, when the finite entries span at most
-      LADDER_LINEAR_SPAN: one linear block, top + ln(cumsum(exp(x - top)))
-      with top the largest entry. Its rounding grows with the rows: it
-      is 3-13x below accumulate's at 455-2,002 rows and within 1.6x of
-      the blocks' at 3,003-8,128, but 10x theirs at 118,755 rows;
-    - every other ladder: np.logaddexp.accumulate under LADDER_BLOCK
-      rows, else _blocked_ladder, linear blocks of LADDER_BLOCK rows
-      joined in logs.
-    A -inf entry adds an exact zero, and the leading run of -inf, where
-    the count is still 0, stays -inf. No row-sized array is made besides
-    the ladder.
+    Under LADDER_LOG_ROWS counts, np.logaddexp.accumulate: one call,
+    cheaper than a linear block below about 250 rows. Up to
+    LADDER_ONE_BLOCK counts whose finite entries span at most
+    LADDER_LINEAR_SPAN, one linear block, top + ln(cumsum(exp(x - top)))
+    with top the largest entry; its rounding is 3-13x below accumulate's
+    at 455-2,002 rows and within 1.6x of the blocks' at 3,003-8,128, but
+    10x theirs at 118,755 rows. Any other ladder is accumulated under
+    LADDER_BLOCK rows, else summed in blocks (_blocked_ladder). A -inf
+    entry adds an exact zero, and the leading run of -inf, where the count
+    is still 0, stays -inf. No row-sized array is made besides the ladder.
     """
     ladder = np.empty(log_counts.size + 1) if out is None else out
     ladder[0] = -np.inf
@@ -375,9 +368,8 @@ def _log_ladder(log_counts: np.ndarray, out: np.ndarray | None = None) -> np.nda
 def _one_linear_block(x: np.ndarray, acc: np.ndarray) -> bool:
     """Sum x into acc as one linear block and return True, or return False
     with acc untouched when x's finite entries span more than
-    LADDER_LINEAR_SPAN. The ufuncs' own reductions and accumulate skip
-    the wrappers of x.max() and np.cumsum, which cost more than the rows
-    at a few hundred."""
+    LADDER_LINEAR_SPAN. The ufuncs' own reduce and accumulate skip the
+    wrappers of x.max() and np.cumsum, dearer than a few hundred rows."""
     top, low = np.maximum.reduce(x), np.minimum.reduce(x)
     holed = low == -np.inf
     if holed:
