@@ -37,7 +37,10 @@ table byte budget, lowered to 10 rows for that run. One more evolve
 runs on a seeded d = 9 battery whose energies are offset by 1e3, which
 the propagator's trace shift takes out. Three seeded Hermitian matrices,
 at d = 8, 16 and 32, record the Jacobi sweep count eig_hermitian takes
-on them.
+on them. The limit records give the table byte estimate per row and
+the largest n the table byte budget admits at d = 3, 4, 6 and 8, taken
+from the budget arithmetic without building a table, so that a change
+to the estimate shows in a digest diff.
 
 Two records, printed as they are rather than hashed, name what the bits
 depend on besides the code: machine.numpy_dispatch, the highest SIMD
@@ -68,6 +71,8 @@ STATES = 200
 SEED = 20261018
 # (d, n) of the level tables digested row by row
 TABLE_SIZES = [(2, 64), (3, 40), (4, 20), (6, 24), (8, 14), (3, 1024)]
+# d of the largest feasible n records
+LIMIT_DIMS = (3, 4, 6, 8)
 
 
 def digest(x) -> str:
@@ -211,6 +216,19 @@ def curve_records(ek, rng):
             emit(f"curve.{name}.e[{n:03d}]", result.passive_energy[n])
 
 
+def limit_records():
+    """The table byte estimate per row and the largest n whose table the
+    byte budget admits at d = 3, 4, 6 and 8, from the budget arithmetic
+    alone: no table is built."""
+    ensemble = sys.modules["ergokit.ensemble"]
+    emit("limit.table_bytes_per_row", ensemble.TABLE_BYTES_PER_ROW)
+    for d in LIMIT_DIMS:
+        n = 1
+        while ensemble._table_error(n + 1, d) is None:
+            n += 1
+        emit(f"limit.d{d}.largest_n", n)
+
+
 def table_record(ek, name, table):
     for field in ("log_prob", "energy", "log_mult"):
         emit(f"{name}.{field}", getattr(table, field))
@@ -284,6 +302,7 @@ def main():
     sweep_records(ek, np.random.default_rng(SEED))
     table_records(ek, np.random.default_rng(SEED))
     curve_records(ek, np.random.default_rng(SEED))
+    limit_records()
     with tempfile.TemporaryDirectory() as tmp:
         cli_records(cli, Path(tmp))
 

@@ -114,8 +114,17 @@ class QuantumState:
     @cached_property
     def spectrum_descending(self) -> np.ndarray:
         """Eigenvalues sorted descending, with roundoff negatives clamped
-        to zero and the spectrum rescaled to preserve the given trace."""
-        w = linalg.eig_hermitian(self.matrix, vectors=False).eigenvalues
+        to zero and the spectrum rescaled to preserve the given trace.
+
+        A matrix whose off-diagonal entries are all exactly 0 skips
+        eig_hermitian, whose Jacobi loop would rotate nothing: its
+        eigenvalues are the diagonal, symmetrised as there (which turns
+        -0.0 into +0.0) and sorted ascending, the same bits."""
+        if self.max_offdiagonal() > 0.0:
+            w = linalg.eig_hermitian(self.matrix, vectors=False).eigenvalues
+        else:
+            levels = self.matrix.diagonal()
+            w = np.sort(((levels + levels.conj()) / 2.0).real, kind="stable")
         if float(np.min(w)) < EIGENVALUE_FLOOR:
             raise ValidationError(
                 f"eigenvalue {np.min(w):.3e} below the roundoff floor {EIGENVALUE_FLOOR}")

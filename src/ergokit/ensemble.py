@@ -19,12 +19,13 @@ TABLE_BYTES_PER_ROW per row, exceeds it is refused before anything is
 allocated.
 
 curve evaluates n from its largest feasible n down to 1 in one
-_Workspace of seven rows, the first three the table's until the merge
+_Workspace of six rows, the first three the table's until the merge
 takes each over, with the same operations, in the same order, as with
-temporaries. Each merge hands its two sort orders down to the next,
-smaller table: the indices of the shared columns, shifted down, are that
-table's order whenever the keys they gather ascend with ties in index
-order, which is checked.
+temporaries; the merge writes its energy integral F over F's own counts.
+Each merge hands its two sort orders down to the next, smaller table:
+the indices of the shared columns, shifted down, are that table's order
+whenever the keys they gather ascend with ties in index order, which is
+checked.
 """
 
 from __future__ import annotations
@@ -40,10 +41,11 @@ from .errors import (CapExceededError, NoConvergenceError, NotDiagonalError,
 from .gibbs import entropy_target, match_entropy
 
 # estimated peak bytes of one uncached build plus its merge, per table
-# row; tracemalloc reads 107.9, 105.8 and 103.7 at (d, n) = (8, 14),
-# (6, 24) and (3, 1024), and a whole curve with its compositions cached
-# 81.9, 87.1 and 90.5
-TABLE_BYTES_PER_ROW = 120
+# row, in six workspace rows; tracemalloc reads 99.9, 97.8 and 95.7 at
+# (d, n) = (8, 14), (6, 24) and (3, 1024), and a whole curve with its
+# compositions cached 73.9, 79.1 and 82.5; 112 keeps an 11 % margin over
+# the highest
+TABLE_BYTES_PER_ROW = 112
 # build_level_table refuses a table whose estimated peak exceeds this
 TABLE_BYTE_BUDGET = 2 * 2**30
 # the composition cache evicts its least recently used entries beyond this
@@ -173,15 +175,17 @@ class _Workspace:
     composition entry of an n at least its largest) and orders, the last
     merge's two sort orders as int32, empty before the first merge.
 
-    floats holds the merge's seven rows of at least rows + 1 entries; the
+    floats holds the merge's six rows of at least rows + 1 entries; the
     build sums the table into the first three, which the merge takes over
-    once each is dead, and one level's terms into the next three. chunk
-    holds five rows for the merge's chunks, flags one bool row."""
+    once each is dead, and one level's terms into the next three. The
+    merge writes its energy integral F over F's own counts in the last
+    row. chunk holds five rows for the merge's chunks, flags one bool
+    row."""
 
     def __init__(self, rows: int):
         # whole 64-byte lines per row, so every row starts aligned alike
         width = (rows + 8) // 8 * 8
-        self.floats = np.empty((7, width))
+        self.floats = np.empty((6, width))
         self.flags = np.empty(width, dtype=bool)
         self.merge = list(self.floats)
         self.chunk = list(np.empty((5, min(width, MERGE_CHUNK + 8))))
@@ -337,9 +341,19 @@ def _linear_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return top, low >= top - LADDER_LINEAR_SPAN
 
 
-def _log_ladder(log_counts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _log_ladder(log_counts: np.ndarray, out: np.ndarray | None = None,
+                lead: int = 0) -> np.ndarray:
     """ln of the cumulative counts, with ln 0 = -inf prepended; written
-    into out (log_counts.size + 1 entries) if given.
+    into out (log_counts.size + 1 entries) if given. out may start one
+    entry before log_counts in the same row: the ladder is then written
+    over its own counts, with the same bits.
+
+    lead counts, the first, are zero (F's ground rows): their ln counts
+    must be -inf, or be log_counts written over in place, and no count
+    after them may be. The ladder is -inf through them and summed from
+    there on, in the regime of the whole length and with the blocks where
+    they were, so lead moves no bit; it spares the one-block path its
+    search for the least finite entry.
 
     Under LADDER_LOG_ROWS counts, np.logaddexp.accumulate: one call,
     cheaper than a linear block below about 250 rows. Up to
@@ -353,13 +367,13 @@ def _log_ladder(log_counts: np.ndarray, out: np.ndarray | None = None) -> np.nda
     is still 0, stays -inf. No row-sized array is made besides the ladder.
     """
     ladder = np.empty(log_counts.size + 1) if out is None else out
-    ladder[0] = -np.inf
+    ladder[:lead + 1] = -np.inf
     acc, rows = ladder[1:], log_counts.size
-    if (LADDER_LOG_ROWS <= rows <= LADDER_ONE_BLOCK
-            and _one_linear_block(log_counts, acc)):
+    if lead == rows or (LADDER_LOG_ROWS <= rows <= LADDER_ONE_BLOCK
+                        and _one_linear_block(log_counts[lead:], acc[lead:])):
         return ladder
     if rows < LADDER_BLOCK:
-        np.logaddexp.accumulate(log_counts, out=acc)
+        np.logaddexp.accumulate(log_counts[lead:], out=acc[lead:])
     else:
         _blocked_ladder(log_counts, acc)
     return ladder
@@ -401,11 +415,14 @@ def _blocked_ladder(log_counts: np.ndarray, ladder: np.ndarray) -> None:
     over the block totals, its ladder is s + ln(S e^(top - s) + e^(c - s)),
     s = max(top, c). A block whose finite entries span more than
     LADDER_LINEAR_SPAN could start below the normal float range, so it is
-    accumulated in logs from c."""
+    accumulated in logs from c, from a copy of its counts: ladder may be
+    log_counts itself."""
     parts = list(zip(_ladder_blocks(log_counts), _ladder_blocks(ladder)))
-    shifts, linears, totals = [], [], []
+    shifts, wide, totals = [], [], []
     for x, acc in parts:
         top, linear = _linear_blocks(x)
+        log_rows = (~linear).nonzero()[0]
+        wide.append((log_rows, x[log_rows]))
         # a block of -inf alone sums to 0 whatever its shift
         top[top == -np.inf] = 0.0
         np.subtract(x, top[:, None], out=acc)
@@ -415,27 +432,25 @@ def _blocked_ladder(log_counts: np.ndarray, ladder: np.ndarray) -> None:
         totals.append(top + np.log(last, out=np.full(last.size, -np.inf),
                                    where=last > 0.0))
         shifts.append(top)
-        linears.append(linear)
     totals = np.concatenate(totals)
     carries = np.empty(totals.size)
     carries[0] = -np.inf
     np.logaddexp.accumulate(totals[:-1], out=carries[1:])
     start = 0
-    for (x, acc), top, linear in zip(parts, shifts, linears):
+    for (_, acc), top, (log_rows, counts) in zip(parts, shifts, wide):
         carry = carries[start:start + len(acc)]
         start += len(acc)
         s = np.maximum(top, carry)
         acc *= np.exp(top - s)[:, None]
         acc += np.exp(carry - s)[:, None]
-        log_rows = (~linear).nonzero()[0]
         acc[log_rows] = 1.0
         # the leading -inf run sums to 0 (s is finite): ln 0 = -inf
         with np.errstate(divide="ignore"):
             np.log(acc, out=acc)
         acc += s[:, None]
-        for b in log_rows:
+        for b, row_counts in zip(log_rows, counts):
             row = acc[b]
-            row[:] = x[b]
+            row[:] = row_counts
             row[0] = np.logaddexp(carry[b], row[0])
             np.logaddexp.accumulate(row, out=row)
     # a block's end and the carry after it round apart, so a block can
@@ -494,9 +509,10 @@ def passive_energy_per_copy(table: WeightedLevelTable, *,
     row index that leaves every mean inside its rows.
 
     Intermediates go to a _Workspace: curve's, whose first three rows are
-    the table's, or one made for this call. After P, Q and F, rows go in
-    chunks of MERGE_CHUNK, but the masses and e(n) are numpy sums over
-    whole rows, not BLAS dots: no bit hangs on the chunks or BLAS threads.
+    the table's, or one made for this call; F is written over its own
+    counts. F's counts and, after the ladders, all rows go in chunks of
+    MERGE_CHUNK, but the masses and e(n) are numpy sums over whole rows,
+    not BLAS dots: no bit hangs on the chunks or BLAS threads.
     """
     lp, en, lm, n = table.log_prob, table.energy, table.log_mult, table.n
     rows = len(table)
@@ -516,13 +532,17 @@ def passive_energy_per_copy(table: WeightedLevelTable, *,
 
     lm_p = lm.take(p_order, out=b[1][:m], mode="clip")
     P = _log_ladder(lm_p, b[4][:m + 1])
-    lm_e = lm.take(e_order, out=b[5][:rows], mode="clip")
+    # one entry into its row, so that F can be written over these counts
+    lm_e = lm.take(e_order, out=b[5][1:rows + 1], mode="clip")
     Q = _log_ladder(lm_e, b[2][:rows + 1])
-    # ln(count * excess) per energy row; -inf on the ground rows
-    log_excess = np.subtract(energy, energy[0], out=b[6][:rows])
-    with np.errstate(divide="ignore"):
-        lm_e += np.log(log_excess, out=log_excess)
-    F = _log_ladder(lm_e, b[6][:rows + 1])
+    # ln(count * excess) per energy row, added a chunk at a time; the z
+    # ground rows have excess 0, so F is -inf through them
+    z = int(energy.searchsorted(energy[0], "right"))
+    for s in range(z, rows, MERGE_CHUNK):
+        t = min(s + MERGE_CHUNK, rows)
+        excess = np.subtract(energy[s:t], energy[0], out=c[0][:t - s])
+        lm_e[s:t] += np.log(excess, out=excess)
+    F = _log_ladder(lm_e, b[5][:rows + 1], lead=z)
 
     # neg_lp = -log_prob, so these are the sums log_prob + ln count
     mass = np.subtract(lm_p, neg_lp, out=lm_p)

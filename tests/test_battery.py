@@ -92,6 +92,40 @@ class TestQuantumState:
             assert (entangling_advantage(diag, bat, 2)
                     == entangling_advantage(full, bat, 2)), p
 
+    @pytest.mark.parametrize("populations", [
+        pytest.param([0.25, 0.5, 0.25], id="tied"),
+        pytest.param([0.0, 0.7, 0.0, 0.3], id="zero"),
+        pytest.param([-0.0, 0.6, 0.4], id="negative-zero"),
+        pytest.param([0.6 + 5e-13, 0.4, -5e-13], id="roundoff-negative"),
+        pytest.param(np.random.default_rng(5).dirichlet(np.ones(6)), id="generic")])
+    def test_diagonal_spectrum_skips_jacobi_with_its_bits(self, populations,
+                                                          monkeypatch):
+        # eig_hermitian rotates nothing when every off-diagonal entry is 0:
+        # diagonal() and full() of such a matrix skip it for the same bytes
+        p = np.array(populations)
+        want = []
+        for m in (np.diag(p.astype(complex)), np.diag(p + 1e-11j)):
+            w = linalg.eig_hermitian(m, vectors=False).eigenvalues
+            trace = float(np.sum(w))
+            w = np.clip(w, 0.0, None)
+            w *= trace / np.sum(w)
+            want.append(np.sort(w, kind="stable")[::-1])
+        calls = []
+        eig_hermitian = linalg.eig_hermitian
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return eig_hermitian(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "eig_hermitian", spy)
+        diag = QuantumState.diagonal(p)
+        full = QuantumState.full(np.diag(p + 1e-11j))
+        assert len(calls) == 1   # full()'s own floor check
+        for state, w in zip((diag, full), want):
+            got = state.spectrum_descending
+            assert got.tobytes() == w.tobytes(), (got, w)
+        assert len(calls) == 1
+
     def test_full_spectrum_matches_construction(self):
         rng = np.random.default_rng(21)
         U = random_unitary(rng, 3)

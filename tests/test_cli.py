@@ -391,7 +391,7 @@ class TestOracleCommand:
                                             capsys):
         real = ensemble._log_ladder
         monkeypatch.setattr(ensemble, "_log_ladder",
-                            lambda counts, out=None: real(counts, out) + 1e-9)
+                            lambda counts, out=None, **kw: real(counts, out, **kw) + 1e-9)
         assert cli.main(["oracle", demo_file, "--n", "3"]) == 3
         err = capsys.readouterr().err
         assert "lost mass" in err

@@ -168,7 +168,8 @@ class TestBuildLevelTable:
 
     def test_byte_budget_refuses_before_enumerating(self, demo_battery,
                                                     monkeypatch):
-        budget = 100_000
+        # 800 rows' worth, below the 861 rows of n = 40 at any estimate
+        budget = 800 * ensemble.TABLE_BYTES_PER_ROW
         monkeypatch.setattr(ensemble, "TABLE_BYTE_BUDGET", budget)
         enumerated = []
         real = ensemble._composition_matrix
@@ -329,6 +330,20 @@ class TestPassiveEnergyPerCopy:
             assert np.array_equal(g_at, want[s:t_end + 1])
         assert starts == list(range(0, P.size - 1, chunk))
 
+    @pytest.mark.parametrize("rows, ground", [(40, 3), (3000, 3), (9000, 3),
+                                              (40, 40)])
+    def test_ground_ties_lead_the_integral(self, rows, ground):
+        # F is -inf through every row tied with the lowest energy: a
+        # hand-made table may tie several rows there, or all of them
+        rng = np.random.default_rng(rows + ground)
+        p = rng.dirichlet(np.ones(rows))
+        energy = rng.uniform(0.0, 1.0, rows)
+        energy[rng.choice(rows, ground, replace=False)] = energy.min()
+        t = WeightedLevelTable(n=1, dim=rows, log_prob=np.log(p), energy=energy,
+                               log_mult=np.zeros(rows))
+        want = float(np.dot(np.sort(p)[::-1], np.sort(energy)))
+        assert passive_energy_per_copy(t) == pytest.approx(want, rel=1e-12, abs=0.0)
+
 
 def _crossing_intervals(t):
     """The probability rows i (log_prob descending) whose count interval
@@ -388,7 +403,7 @@ class TestExactOracle:
         t = build_level_table(DEMO_SPECTRUM, demo_battery, 12)
         real = ensemble._log_ladder
         monkeypatch.setattr(ensemble, "_log_ladder",
-                            lambda counts, out=None: real(counts, out) + 1e-9)
+                            lambda counts, out=None, **kw: real(counts, out, **kw) + 1e-9)
         with pytest.raises(NoConvergenceError, match="lost mass"):
             passive_energy_per_copy(t)
 
@@ -399,9 +414,9 @@ class TestExactOracle:
         real = ensemble._log_ladder
         calls = []
 
-        def doubled_integral(counts, out=None):
+        def doubled_integral(counts, out=None, **kw):
             calls.append(counts.size)
-            return real(counts, out) + (np.log(2.0) if len(calls) == 3 else 0.0)
+            return real(counts, out, **kw) + (np.log(2.0) if len(calls) == 3 else 0.0)
 
         monkeypatch.setattr(ensemble, "_log_ladder", doubled_integral)
         with pytest.raises(NoConvergenceError, match="outside its energy rows"):
@@ -424,6 +439,26 @@ def _ladder_input(size, lead=3):
     if size > 4 * block:
         x[:2 * block + block // 2] -= 1000.0
         x[3 * block:4 * block] += 100.0
+    return x
+
+
+def _regime_input(regime):
+    """ln counts that _log_ladder sums in the given regime: accumulated in
+    logs under LADDER_LOG_ROWS rows ("log"), one linear block ("one_block"),
+    accumulated in logs past LADDER_LINEAR_SPAN ("wide_log": a d = 2
+    table's counts at n = 1500, 1,501 rows spanning about 1,036), or in
+    blocks, one of them accumulated in logs ("blocks")."""
+    if regime == "wide_log":
+        t = build_level_table([0.5, 0.5], BatterySpec(np.array([0.0, 1.0])), 1500)
+        x = t.log_mult[np.argsort(t.energy, kind="stable")]
+        assert x.size < ensemble.LADDER_BLOCK
+        assert x.max() - x.min() > ensemble.LADDER_LINEAR_SPAN
+        return x
+    size = {"log": 200, "one_block": 3003, "blocks": 5 * 2048 + 3}[regime]
+    x = np.random.default_rng(size).uniform(-30.0, 30.0, size)
+    if regime == "blocks":
+        x[:2 * 2048 + 1024] -= 1000.0
+        assert not ensemble._linear_blocks(x[:-3].reshape(-1, 2048))[1].all()
     return x
 
 
@@ -507,6 +542,22 @@ class TestLogLadder:
         want = np.empty(x.size)
         ensemble._blocked_ladder(x, want)
         assert np.array_equal(ensemble._log_ladder(x)[1:], want)
+
+    @pytest.mark.parametrize("regime", ["log", "one_block", "wide_log", "blocks"])
+    @pytest.mark.parametrize("lead", [0, 5])
+    def test_in_place_with_a_lead_keeps_the_bits(self, regime, lead):
+        # the merge writes F over its own counts, the ladder starting one
+        # entry before them, and leaves the lead ground rows' counts as
+        # they were: the ladder sets them to -inf
+        x = _regime_input(regime)
+        x[:lead] = -np.inf
+        want = ensemble._log_ladder(x)
+        row = np.empty(x.size + 1)
+        row[1:] = x
+        row[1:lead + 1] = 7.0
+        got = ensemble._log_ladder(row[1:], row, lead=lead)
+        assert got is row
+        assert np.array_equal(row, want)
 
     def test_linear_blocks_span_at_most_the_limit(self):
         x = _ladder_input(5 * 2048 + 3)
@@ -673,6 +724,10 @@ class TestCurve:
                 for threads in ("1", "2")]
         assert len(runs[0].split()) == 200
         assert runs[0] == runs[1]
+
+    def test_workspace_holds_six_float_rows(self):
+        # F is written over its own counts, so no seventh row is needed
+        assert ensemble._Workspace(100).floats.shape == (6, 104)
 
     @pytest.mark.parametrize("d, n_max", [(8, 14), (6, 24)])
     def test_peak_within_the_byte_estimate(self, d, n_max, monkeypatch):
