@@ -15,8 +15,9 @@ those of m < n are the last rows(m) columns of those of n, with k_1
 lowered by n - m. The enumeration builds j parts from j - 1 by it, and
 every table reads its counts from the entry of d by it. The one limit
 on a table is TABLE_BYTE_BUDGET: a table whose estimated peak,
-TABLE_BYTES_PER_ROW per row, exceeds it is refused before anything is
-allocated.
+TABLE_BYTES_PER_ROW per row (an uncached build plus its six-row merge
+peaks at 95.7-99.9 bytes per row), exceeds it is refused before
+anything is allocated.
 
 curve evaluates n from its largest feasible n down to 1 in one
 _Workspace of six rows, the first three the table's until the merge
@@ -348,12 +349,12 @@ def _log_ladder(log_counts: np.ndarray, out: np.ndarray | None = None,
     entry before log_counts in the same row: the ladder is then written
     over its own counts, with the same bits.
 
-    lead counts, the first, are zero (F's ground rows): their ln counts
-    must be -inf, or be log_counts written over in place, and no count
-    after them may be. The ladder is -inf through them and summed from
-    there on, in the regime of the whole length and with the blocks where
-    they were, so lead moves no bit; it spares the one-block path its
-    search for the least finite entry.
+    The first lead counts are zero (F's ground rows): their entries of
+    log_counts must be -inf, or lie under out, which sets them so. The
+    ladder is -inf through them and summed from there on, in the regime
+    of the whole length and with the blocks where they were, so lead
+    moves no bit; it spares the one-block path its search for the least
+    finite entry.
 
     Under LADDER_LOG_ROWS counts, np.logaddexp.accumulate: one call,
     cheaper than a linear block below about 250 rows. Up to
